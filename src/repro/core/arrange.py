@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.trace import DIFF_COL, MULT_COL, N_SHARDS, T_COL, Trace, materialize
+from repro.core.trace import DIFF_COL, MULT_COL, Trace, consolidate, materialize
 
 _arr_ids = itertools.count()
 
@@ -126,13 +126,9 @@ class Arrangement:
         )
         delta = updates.select(*self.data_cols, F.col(DIFF_COL))
         merged = as_updates.unionByName(delta) if as_updates is not None else delta
-        new_snap = materialize(
-            merged.groupBy(*self.data_cols)
-            .agg(F.sum(DIFF_COL).alias(MULT_COL))
-            .filter(F.col(MULT_COL) != 0)
-            .repartition(N_SHARDS, *[F.col(c) for c in self.key_cols])
+        new_snap, self.snapshot_rows = materialize(
+            consolidate(merged, self.data_cols, self.key_cols, MULT_COL)
         )
-        self.snapshot_rows = new_snap.count()
         if self._snap_df is not None:
             self._snap_df.unpersist(blocking=False)
         self._snap_df, self._snap_time = new_snap, round_

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import DataFrame, Observation, functions as F
 
 from repro.core.lattice import Frontier, int_time
 
@@ -50,8 +50,8 @@ _EST_BYTES_PER_CELL = 16
 _batch_ids = itertools.count()
 
 
-def materialize(df: DataFrame) -> DataFrame:
-    """Materialize a DataFrame into executor memory and truncate its plan.
+def materialize(df: DataFrame) -> Tuple[DataFrame, int]:
+    """Materialize a DataFrame into executor memory, truncate its plan, count it.
 
     ``localCheckpoint(eager=True)`` both caches the rows and replaces the
     logical plan with a scan of the checkpointed blocks.  Plain
@@ -59,8 +59,37 @@ def materialize(df: DataFrame) -> DataFrame:
     embeds the previous rounds' plans by value, so Catalyst analysis time
     grows without bound even though execution hits the cache.  Blocks are
     reclaimed by the ContextCleaner once the DataFrame is unreachable.
+
+    The row count is observed inside the checkpoint job itself (an
+    ``Observation`` is single-use, hence a fresh one per call) instead of by a
+    trailing ``.count()``: in local mode every Spark job costs a fixed
+    overhead that, not the row work, sets a round's latency floor.  Returns
+    ``(materialized frame, rows)``.
     """
-    return df.localCheckpoint(eager=True)
+    obs = Observation()
+    out = df.observe(obs, F.count(F.lit(1)).alias("rows")).localCheckpoint(eager=True)
+    return out, obs.get["rows"]
+
+
+def consolidate(
+    df: DataFrame, group_cols: Sequence[str], key_cols: Sequence[str], out_col: str
+) -> DataFrame:
+    """Sum ``DIFF_COL`` per ``group_cols`` into ``out_col`` and drop zero
+    sums, hash-sharded by ``key_cols`` (a lazy plan; callers materialize it).
+
+    Sharding *before* grouping costs one exchange: hash partitioning on
+    ``key_cols ⊆ group_cols`` already clusters every group, so Spark adds no
+    second exchange, and shard placement is exactly that of
+    ``repartition(N_SHARDS, *key_cols)``.  An empty key goes to a single
+    shard, since ``repartition(N)`` without columns is round-robin.
+    """
+    shards = N_SHARDS if key_cols else 1
+    return (
+        df.repartition(shards, *[F.col(c) for c in key_cols])
+        .groupBy(*group_cols)
+        .agg(F.sum(DIFF_COL).alias(out_col))
+        .filter(F.col(out_col) != 0)
+    )
 
 
 @dataclass
@@ -137,10 +166,8 @@ class Trace:
         if updates is None:
             return None
         cols = self.data_cols + [T_COL, DIFF_COL]
-        df = self._consolidate(updates.select(*cols))
-        rows = df.count()
+        df, rows = self._consolidate(updates.select(*cols))
         if rows == 0:
-            df.unpersist(blocking=False)
             return None
         batch = Batch(df=df, lower=lower, upper=upper, rows=rows)
         self.batches.append(batch)
@@ -175,20 +202,18 @@ class Trace:
         a = self.batches.pop()
         b = self.batches.pop()
         lower, upper = min(a.lower, b.lower), max(a.upper, b.upper)
-        merged = self._consolidate(a.df.unionByName(b.df))
-        rows = merged.count()
+        merged, rows = self._consolidate(a.df.unionByName(b.df))
         self._retired.extend((a, b))
         self.merge_count += 1
         if rows:
             self.batches.append(Batch(df=merged, lower=lower, upper=upper, rows=rows))
         else:
-            merged.unpersist(blocking=False)
             # Record the (now empty) interval by widening the neighbour's
             # bookkeeping: an empty batch need not be stored at all.
             if self.batches:
                 self.batches[-1].upper = max(self.batches[-1].upper, upper)
 
-    def _consolidate(self, df: DataFrame) -> DataFrame:
+    def _consolidate(self, df: DataFrame) -> Tuple[DataFrame, int]:
         """Coalesce updates at times indistinguishable as of the frontier.
 
         For the 1-d integer lattice and single-element frontier ``{f}``,
@@ -198,12 +223,7 @@ class Trace:
         """
         f = self.compaction_frontier
         adj = df.withColumn(T_COL, F.greatest(F.col(T_COL), F.lit(f)))
-        return materialize(
-            adj.groupBy(*self.data_cols, T_COL)
-            .agg(F.sum(DIFF_COL).alias(DIFF_COL))
-            .filter(F.col(DIFF_COL) != 0)
-            .repartition(N_SHARDS, *[F.col(c) for c in self.key_cols])
-        )
+        return materialize(consolidate(adj, self.data_cols + [T_COL], self.key_cols, DIFF_COL))
 
     def advance_compaction_frontier(self, frontier: int) -> None:
         """Called by the arrangement when *every* reader is beyond ``frontier``.

@@ -20,9 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.trace import N_SHARDS
-
-_CHECKPOINT_EVERY = 8
+from repro.core.trace import N_SHARDS, materialize
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,6 @@ class Program:
         )
 
 
-def _persist(df: DataFrame) -> DataFrame:
-    # Plan-truncating materialization (see repro.core.trace.materialize).
-    return df.localCheckpoint(eager=True)
-
-
 def _orient(df: DataFrame, atom: Atom) -> DataFrame:
     """Read an atom's relation as columns (a, b) honouring inversion."""
     if atom.inverted:
@@ -110,9 +103,9 @@ class Evaluator:
         else:
             t0 = _time.perf_counter()
             self.edb = {
-                name: _persist(
+                name: materialize(
                     df.select("src", "dst").repartition(N_SHARDS, F.col("src"))
-                )
+                )[0]
                 for name, df in edb.items()
             }
             self.index_build_secs = _time.perf_counter() - t0
@@ -188,7 +181,7 @@ class Evaluator:
         deltas: Dict[str, Optional[DataFrame]] = {}
         if seeds:
             for name, df in seeds.items():
-                totals[name] = _persist(df.select("src", "dst").distinct())
+                totals[name], _ = materialize(df.select("src", "dst").distinct())
                 deltas[name] = totals[name]
         initial = True
         for it in range(max_iters):
@@ -208,19 +201,13 @@ class Evaluator:
                 cand = cand.distinct()
                 if rel in totals:
                     cand = cand.join(totals[rel], ["src", "dst"], "left_anti")
-                new = _persist(cand)
-                if new.count() == 0:
-                    new.unpersist(blocking=False)
+                new, rows = materialize(cand)
+                if rows == 0:
                     new_deltas[rel] = None
                     continue
                 new_deltas[rel] = new
                 if rel in totals:
-                    nxt = totals[rel].unionByName(new)
-                    nxt = (
-                        nxt.localCheckpoint(eager=True)
-                        if (it + 1) % _CHECKPOINT_EVERY == 0
-                        else _persist(nxt)
-                    )
+                    nxt, _ = materialize(totals[rel].unionByName(new))
                     totals[rel].unpersist(blocking=False)
                     totals[rel] = nxt
                 else:
@@ -230,7 +217,7 @@ class Evaluator:
             if all(d is None for d in deltas.values()):
                 for rel in self.program.idb_relations():
                     if rel not in totals:
-                        totals[rel] = _persist(
+                        totals[rel], _ = materialize(
                             self.spark.createDataFrame([], "src long, dst long")
                         )
                 return totals

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
+from repro.core.trace import materialize
 from repro.datalog.engine import Atom, Evaluator, Program, Rule
 
 TC_PROGRAM = Program(
@@ -114,6 +115,6 @@ def sg_from(spark: SparkSession, indexes: Dict[str, DataFrame], node: int) -> Da
         e.join(magic, e["dst"] == magic["m"], "left_semi")
         .select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )  # erm(X, P) = e(P, X) with X in the magic set
-    ev = Evaluator(spark, SG_MAGIC, {"erm": erm, "e": e}, indexes={"erm": erm.localCheckpoint(eager=True), "e": e})
+    ev = Evaluator(spark, SG_MAGIC, {"erm": erm, "e": e}, indexes={"erm": materialize(erm)[0], "e": e})
     sg = ev.run()["sg"]
     return sg.filter(F.col("src") == node)

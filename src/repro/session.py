@@ -1,9 +1,11 @@
-"""SparkSession construction for standalone jobs (``jobs/*.py``).
+"""The one SparkSession config, for tests, jobs (``jobs/*.py``) and benchmarks.
 
-Tests use the ``spark`` fixture from ``conftest.py``; jobs run under
-``spark-submit`` (or plain ``python``) and build an equivalent session here —
-same Arrow, shuffle-partition, and broadcast settings, so job numbers are
-comparable with test/benchmark numbers.
+The test suite's ``spark`` fixture (``conftest.py``), the jobs run under
+``spark-submit`` (or plain ``python``) and ``perfbench`` all build their
+session here, so their numbers are comparable.  Broadcast joins are
+disabled so the shuffle/join paths are exercised at small scale factors; a
+reproduction that wants a broadcast join sets the threshold back for that
+query.
 """
 from __future__ import annotations
 

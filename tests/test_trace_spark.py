@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL, Trace
+from repro.core.trace import DIFF_COL, MULT_COL, N_SHARDS, T_COL, Trace
 
 
 def updates(spark, rows, t):
@@ -43,7 +43,8 @@ class TestSeal:
             trace.seal(None, upper=2)
 
     def test_cancelled_batch_not_stored(self, spark, trace):
-        trace.seal(updates(spark, [(1, 1), (1, -1)], t=1), upper=2)
+        # consolidation cancels both rows, so the observed count is 0
+        assert trace.seal(updates(spark, [(1, 1), (1, -1)], t=1), upper=2) is None
         assert trace.batches == []
 
     def test_multiversioned_reads(self, spark, trace):
@@ -128,3 +129,47 @@ class TestCompaction:
         assert tr.estimated_bytes() > 0
         tr.unpersist()
         assert tr.total_rows() == 0
+
+
+def shard_of_key(df):
+    """``{key: partition index}``, failing if a key spans two partitions."""
+    placed = df.rdd.mapPartitionsWithIndex(lambda i, rows: [(r["k"], i) for r in rows])
+    shards = {}
+    for k, i in placed.distinct().collect():
+        assert shards.setdefault(k, i) == i, f"key {k} in partitions {shards[k]} and {i}"
+    return shards
+
+
+class TestMaterialization:
+    """Sealing is one exchange plus one checkpoint job that also counts rows."""
+
+    def test_seal_starts_at_most_two_jobs(self, spark, spark_jobs):
+        tr = Trace(["k"], ["k"])
+        ups = updates(spark, [(k, 1) for k in range(50)], t=1)
+        batch, jobs = spark_jobs(lambda: tr.seal(ups, upper=2))
+        assert batch is not None and batch.rows == 50
+        assert jobs <= 2
+
+    def test_observed_rows_equal_count(self, spark):
+        tr = Trace(["k"], ["k"], merge_effort="eager")
+        for t in range(1, 4):
+            batch = tr.seal(updates(spark, [(k, 1) for k in range(t * 10)], t=t), upper=t + 1)
+            assert batch.rows == batch.df.count()
+        # the merged batch's rows come from the same observed count
+        assert [b.rows for b in tr.batches] == [tr.batches[0].df.count()] == [60]
+
+    def test_shards_match_repartition_by_key(self, spark):
+        tr = Trace(["k", "v"], ["k"])
+        pdf = pd.DataFrame({"k": [k % 40 for k in range(200)], "v": range(200)})
+        pdf[T_COL], pdf[DIFF_COL] = 1, 1
+        batch = tr.seal(spark.createDataFrame(pdf), upper=2)
+        assert batch.df.rdd.getNumPartitions() == N_SHARDS
+        keys = spark.createDataFrame(pd.DataFrame({"k": range(40)}))
+        assert shard_of_key(batch.df) == shard_of_key(keys.repartition(N_SHARDS, "k"))
+
+    def test_empty_key_consolidates_into_one_shard(self, spark):
+        tr = Trace(["k"], [])
+        batch = tr.seal(updates(spark, [(1, 1), (2, 1), (2, 1), (3, 1)], t=1), upper=2)
+        assert batch.df.rdd.getNumPartitions() == 1
+        assert batch.rows == 3
+        assert read_dict(tr.read_at(1)) == {1: 1, 2: 2, 3: 1}
