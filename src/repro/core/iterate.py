@@ -9,38 +9,43 @@ semi-naive fixpoints over Spark DataFrames:
   hash-partitioned by key, built once and shared by every rule/query that
   needs it (its build time is the "index-f/index-r" column of Fig. 11/14/15,
   and re-building it per query is the "no shared arrangements" baseline of
-  Fig. 8).
-* :func:`semi_naive` — set-semantics fixpoint (reachability-style recursion):
-  repeatedly expand the *delta* (the paper's arrangement-aware join keys off
-  the small side), de-duplicate against the accumulated total, stop when dry.
-* :func:`fixpoint_min` — fixpoint of a per-key ``min`` aggregation (sssp,
-  wcc-by-label-propagation): keep the best value per key, iterate on keys
-  that improved.
-
-Incremental maintenance of recursive results (additions re-derive from the
-delta; deletions use DRed) lives with the Datalog engine
-(:mod:`repro.datalog.engine`) — see DESIGN.md §2.4 for the substitution.
+  Fig. 8).  It is the one builder of long-lived indexes; per-step and
+  per-query frames use :func:`repro.core.trace.materialize`.
+* :func:`fixpoint` — the one semi-naive loop, over named relations; its
+  callers supply a step and a merge.  :func:`semi_naive` (set semantics:
+  anti-join then union), :func:`fixpoint_min` (keep the per-key minimum,
+  for sssp and wcc) and the Datalog ``Evaluator`` (fire the recursive
+  rules) are its callers.
 """
 from __future__ import annotations
 
+import itertools
 import time as _time
-from typing import Callable, Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
 from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core.trace import N_SHARDS, materialize
 
+_index_ids = itertools.count()
+
 
 class StaticIndex:
-    """A batch-mode arrangement: cached, key-partitioned, shareable, counted."""
+    """A batch-mode arrangement: cached, key-partitioned, shareable, counted.
+
+    Only its owner releases it, with :meth:`unpersist`.  Spark keys cached
+    data by plan, so a per-index literal filter (folded away before
+    execution) keeps equal plans from sharing, and dropping, one entry.
+    """
 
     def __init__(self, df: DataFrame, key_cols: Sequence[str], name: str = "") -> None:
         t0 = _time.perf_counter()
-        self.key_cols = list(key_cols)
         self.name = name
-        self.df = df.repartition(N_SHARDS, *[F.col(c) for c in key_cols]).persist(
-            StorageLevel.MEMORY_ONLY
+        self.df = (
+            df.repartition(N_SHARDS, *[F.col(c) for c in key_cols])
+            .where(F.lit(next(_index_ids)) >= 0)
+            .persist(StorageLevel.MEMORY_ONLY)
         )
         self.rows = self.df.count()
         self.build_secs = _time.perf_counter() - t0
@@ -52,12 +57,56 @@ class StaticIndex:
         self.df.unpersist(blocking=False)
 
 
+#: steps after which a fixpoint loop gives up (raises :class:`NoFixpoint`)
+MAX_STEPS = 100_000
+
+Relations = Dict[str, DataFrame]
+
+
+class NoFixpoint(RuntimeError):
+    """A fixpoint loop still derived new rows after :data:`MAX_STEPS` steps."""
+
+
+def fixpoint(
+    init: Relations,
+    step: Callable[[Relations, Relations], Relations],
+    merge: Callable[[DataFrame, DataFrame], DataFrame] = DataFrame.unionByName,
+) -> Tuple[Relations, int]:
+    """The one semi-naive loop: iterate ``step`` until no relation grows.
+
+    ``init`` maps every relation to its initial rows, the first deltas.
+    ``step(deltas, totals)`` returns lazy plans of *fresh* rows (candidates
+    from the deltas that the totals lack) for some relations; once
+    materialized, ``merge(total, fresh)`` folds them into the totals and
+    they become the next deltas.  Returns the totals and the steps run.
+    """
+    totals: Relations = {}
+    deltas: Relations = {}
+    for name, df in init.items():
+        totals[name], rows = materialize(df)
+        if rows:
+            deltas[name] = totals[name]
+    steps = 0
+    while deltas:
+        if steps == MAX_STEPS:
+            raise NoFixpoint(f"no fixpoint within {MAX_STEPS} steps")
+        steps += 1
+        fresh = {}
+        for name, cand in step(deltas, totals).items():
+            new, rows = materialize(cand)
+            if rows:
+                fresh[name] = new
+        for name, new in fresh.items():
+            totals[name] = materialize(merge(totals[name], new))[0]
+        deltas = fresh
+    return totals, steps
+
+
 def semi_naive(
     spark: SparkSession,
     init: DataFrame,
     expand: Callable[[DataFrame], DataFrame],
     key_cols: Sequence[str],
-    max_iters: int = 100_000,
 ) -> DataFrame:
     """Set-semantics fixpoint: ``total = init ∪ expand(delta) − total``.
 
@@ -67,17 +116,12 @@ def semi_naive(
     Returns the cached fixpoint with columns ``key_cols``.
     """
     cols = list(key_cols)
-    total, _ = materialize(init.select(*cols).distinct())
-    delta = total
-    for _ in range(max_iters):
-        cand = expand(delta).select(*cols).distinct()
-        new, rows = materialize(cand.join(total, cols, "left_anti"))
-        if rows == 0:
-            return total
-        nxt, _ = materialize(total.unionByName(new))
-        total.unpersist(blocking=False)
-        delta, total = new, nxt
-    raise RuntimeError(f"semi_naive did not converge within {max_iters} iterations")
+
+    def step(deltas: Relations, totals: Relations) -> Relations:
+        cand = expand(deltas["r"]).select(*cols).distinct()
+        return {"r": cand.join(totals["r"], cols, "left_anti")}
+
+    return fixpoint({"r": init.select(*cols).distinct()}, step)[0]["r"]
 
 
 def fixpoint_min(
@@ -86,7 +130,6 @@ def fixpoint_min(
     expand: Callable[[DataFrame], DataFrame],
     key_col: str,
     val_col: str,
-    max_iters: int = 100_000,
 ) -> DataFrame:
     """Fixpoint of per-key minimization (sssp distances, wcc labels).
 
@@ -94,21 +137,15 @@ def fixpoint_min(
     keeps the minimum value per key and iterates on keys whose minimum
     improved.  Returns the cached fixpoint.
     """
-    best, _ = materialize(init.groupBy(key_col).agg(F.min(val_col).alias(val_col)))
-    delta = best
-    for _ in range(max_iters):
-        cand = expand(delta).groupBy(key_col).agg(F.min(val_col).alias(val_col))
-        improved, rows = materialize(
-            cand.alias("c")
-            .join(best.alias("b"), key_col, "left")
-            .where(F.col(f"b.{val_col}").isNull() | (F.col(f"c.{val_col}") < F.col(f"b.{val_col}")))
-            .select(key_col, f"c.{val_col}")
+
+    def best(df: DataFrame) -> DataFrame:
+        return df.groupBy(key_col).agg(F.min(val_col).alias(val_col))
+
+    def step(deltas: Relations, totals: Relations) -> Relations:
+        cand = best(expand(deltas["v"])).alias("c")
+        improved = cand.join(totals["v"].alias("b"), key_col, "left").where(
+            F.col(f"b.{val_col}").isNull() | (F.col(f"c.{val_col}") < F.col(f"b.{val_col}"))
         )
-        if rows == 0:
-            return best
-        nxt, _ = materialize(
-            best.unionByName(improved).groupBy(key_col).agg(F.min(val_col).alias(val_col))
-        )
-        best.unpersist(blocking=False)
-        delta, best = improved, nxt
-    raise RuntimeError(f"fixpoint_min did not converge within {max_iters} iterations")
+        return {"v": improved.select(key_col, f"c.{val_col}")}
+
+    return fixpoint({"v": best(init)}, step, lambda b, new: best(b.unionByName(new)))[0]["v"]

@@ -5,22 +5,26 @@ Graspan's CFL-reachability grammars): heads are binary, bodies are one or two
 binary atoms chained on shared variables, atoms may be *inverted* (read
 ``rel(Y, X)``), and an optional ``X != Y`` constraint is supported.
 
-Evaluation is semi-naive over :class:`~repro.core.iterate.StaticIndex`
-arrangements of the EDB relations: each iteration joins only the per-relation
-*deltas* against the full arranged relations, unions candidates, and
-de-duplicates against totals — the arrangement-aware join pattern of §5.3.1
-in batch form.  All recursive relations reach a joint fixpoint (mutual
-recursion is supported; Graspan's points-to needs it).
+Evaluation is semi-naive, on the one fixpoint loop of
+:func:`repro.core.iterate.fixpoint`.  The EDB relations are arranged once as
+:class:`~repro.core.iterate.StaticIndex` indexes (or taken shared from the
+caller).  Rules with no IDB atom fire once, into the initial totals with any
+seeds; each step then fires only the recursive rules, joining per-relation
+*deltas* against the full arranged relations, and keeps the rows the totals
+lack — the arrangement-aware join pattern of §5.3.1 in batch form.  Each IDB
+relation is its own frame.  All recursive relations reach a joint fixpoint
+(mutual recursion is supported; Graspan's points-to needs it).
 """
 from __future__ import annotations
 
-import time as _time
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.trace import N_SHARDS, materialize
+from repro.core.iterate import Relations, StaticIndex, fixpoint
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,11 @@ def _orient(df: DataFrame, atom: Atom) -> DataFrame:
 class Evaluator:
     """Semi-naive bottom-up evaluation of a :class:`Program`.
 
-    ``edb`` maps base relation names to (src, dst) DataFrames; they are
-    arranged once (cached + key-partitioned) and shared by all rules — pass
-    ``indexes`` to reuse arrangements across evaluator instances (the shared
-    arrangements of Fig. 8's incremental column).  Building them fresh per
-    query is the "full evaluation (no SA)" baseline.
+    ``edb`` maps base relation names to (src, dst) DataFrames; each is
+    arranged once and shared by all rules, unless ``indexes`` holds it —
+    pass ``indexes`` to reuse arrangements across evaluator instances (the
+    shared arrangements of Fig. 8's incremental column).  Building them
+    fresh per query is the "full evaluation (no SA)" baseline.
     """
 
     def __init__(
@@ -97,132 +101,82 @@ class Evaluator:
         missing = set(program.edb_relations()) - set(edb)
         if missing:
             raise ValueError(f"missing EDB relations: {sorted(missing)}")
-        if indexes is not None:
-            self.edb = indexes
-            self.index_build_secs = 0.0
-        else:
-            t0 = _time.perf_counter()
-            self.edb = {
-                name: materialize(
-                    df.select("src", "dst").repartition(N_SHARDS, F.col("src"))
-                )[0]
-                for name, df in edb.items()
-            }
-            self.index_build_secs = _time.perf_counter() - t0
+        shared = indexes or {}
+        self._owned = [
+            StaticIndex(df.select("src", "dst"), ["src"], name)
+            for name, df in edb.items()
+            if name not in shared
+        ]
+        self.edb = {**shared, **{idx.name: idx.df for idx in self._owned}}
+        self.index_build_secs = sum(idx.build_secs for idx in self._owned)
+        self.idb = set(program.idb_relations())
         self.iterations = 0
 
-    def _rel(self, name: str, totals: Dict[str, DataFrame]) -> Optional[DataFrame]:
-        if name in self.edb:
-            return self.edb[name]
-        return totals.get(name)
+    def _fire(self, rule: Rule, totals: Relations, deltas: Relations) -> List[DataFrame]:
+        """All semi-naive instantiations of one rule.
 
-    def _fire(
-        self,
-        rule: Rule,
-        totals: Dict[str, DataFrame],
-        deltas: Dict[str, Optional[DataFrame]],
-        initial: bool,
-    ) -> List[DataFrame]:
-        """All semi-naive instantiations of one rule for this iteration.
-
-        On the initial round EDB-only rules fire from full relations; later
-        rounds require at least one *delta* atom per instantiation.
+        A rule with an IDB atom reads at least one IDB atom from ``deltas``
+        per instantiation; an EDB-only rule has one, over full relations.
+        The delta x delta term is required for correctness when both atoms
+        are recursive; de-duplication absorbs its overlap with the
+        delta x full terms.
         """
+        choices = [(False, True) if a.rel in self.idb else (False,) for a in rule.body]
+        recursive = any(a.rel in self.idb for a in rule.body)
         out: List[DataFrame] = []
-        idb = set(self.program.idb_relations())
-
-        def reading(atom: Atom, use_delta: bool) -> Optional[DataFrame]:
-            df = deltas.get(atom.rel) if use_delta else self._rel(atom.rel, totals)
-            return None if df is None else _orient(df, atom)
-
-        if len(rule.body) == 1:
-            atom = rule.body[0]
-            src = reading(atom, atom.rel in idb) if not initial else reading(atom, False)
-            if src is not None:
-                out.append(src.select(F.col("a").alias("src"), F.col("b").alias("dst")))
-        else:
-            a1, a2 = rule.body
-            variants = []
-            if initial:
-                variants.append((False, False))
-            else:
-                # Semi-naive: every instantiation with >= 1 delta atom.  The
-                # delta x delta term is required for correctness when both
-                # atoms are recursive; de-duplication absorbs the overlap
-                # with the delta x full terms.
-                if a1.rel in idb:
-                    variants.append((True, False))
-                if a2.rel in idb:
-                    variants.append((False, True))
-                if a1.rel in idb and a2.rel in idb:
-                    variants.append((True, True))
-                if not variants:
-                    return out  # EDB-only rule: nothing new after round one
-            for d1, d2 in variants:
-                l = reading(a1, d1)
-                r = reading(a2, d2)
-                if l is None or r is None:
-                    continue
-                j = l.join(
+        for use_delta in itertools.product(*choices):
+            if recursive and not any(use_delta):
+                continue
+            sides = [
+                deltas.get(a.rel) if d else self.edb.get(a.rel, totals.get(a.rel))
+                for a, d in zip(rule.body, use_delta)
+            ]
+            if any(df is None for df in sides):
+                continue
+            facts = _orient(sides[0], rule.body[0])
+            if len(sides) == 2:
+                r = _orient(sides[1], rule.body[1])
+                facts = facts.join(
                     r.select(F.col("a").alias("b"), F.col("b").alias("c")), "b", "inner"
-                ).select(F.col("a").alias("src"), F.col("c").alias("dst"))
-                out.append(j)
+                ).select("a", F.col("c").alias("b"))
+            out.append(facts.select(F.col("a").alias("src"), F.col("b").alias("dst")))
         if rule.neq:
             out = [df.filter(F.col("src") != F.col("dst")) for df in out]
         return out
 
-    def run(self, seeds: Optional[Dict[str, DataFrame]] = None, max_iters: int = 100_000) -> Dict[str, DataFrame]:
+    def _derive(self, rules: List[Rule], totals: Relations, deltas: Relations) -> Relations:
+        """Per IDB relation, the distinct rows its ``rules`` derive."""
+        out = {}
+        for rel in sorted(self.idb):
+            cands = [df for r in rules if r.head == rel for df in self._fire(r, totals, deltas)]
+            if cands:
+                out[rel] = functools.reduce(DataFrame.unionByName, cands).distinct()
+        return out
+
+    def run(self, seeds: Optional[Dict[str, DataFrame]] = None) -> Dict[str, DataFrame]:
         """Evaluate to fixpoint; returns cached totals per IDB relation.
 
         ``seeds`` optionally pre-populates IDB relations (the magic-set seeded
         entry point used by top-down queries and by incremental re-derivation).
+        ``iterations`` counts the loop's steps.
         """
-        totals: Dict[str, DataFrame] = {}
-        deltas: Dict[str, Optional[DataFrame]] = {}
-        if seeds:
-            for name, df in seeds.items():
-                totals[name], _ = materialize(df.select("src", "dst").distinct())
-                deltas[name] = totals[name]
-        initial = True
-        for it in range(max_iters):
-            self.iterations = it
-            new_deltas: Dict[str, Optional[DataFrame]] = {}
-            for rel in self.program.idb_relations():
-                cands = []
-                for rule in self.program.rules:
-                    if rule.head == rel:
-                        cands.extend(self._fire(rule, totals, deltas, initial))
-                if not cands:
-                    new_deltas[rel] = None
-                    continue
-                cand = cands[0]
-                for c in cands[1:]:
-                    cand = cand.unionByName(c)
-                cand = cand.distinct()
-                if rel in totals:
-                    cand = cand.join(totals[rel], ["src", "dst"], "left_anti")
-                new, rows = materialize(cand)
-                if rows == 0:
-                    new_deltas[rel] = None
-                    continue
-                new_deltas[rel] = new
-                if rel in totals:
-                    nxt, _ = materialize(totals[rel].unionByName(new))
-                    totals[rel].unpersist(blocking=False)
-                    totals[rel] = nxt
-                else:
-                    totals[rel] = new
-            initial = False
-            deltas = new_deltas
-            if all(d is None for d in deltas.values()):
-                for rel in self.program.idb_relations():
-                    if rel not in totals:
-                        totals[rel], _ = materialize(
-                            self.spark.createDataFrame([], "src long, dst long")
-                        )
-                return totals
-        raise RuntimeError(f"datalog evaluation did not converge in {max_iters} iterations")
+        once = [r for r in self.program.rules if not any(a.rel in self.idb for a in r.body)]
+        recursive = [r for r in self.program.rules if r not in once]
+        init = self._derive(once, {}, {})
+        for rel, df in (seeds or {}).items():
+            df = df.select("src", "dst")
+            init[rel] = init[rel].unionByName(df).distinct() if rel in init else df.distinct()
+        for rel in self.idb - set(init):
+            init[rel] = self.spark.createDataFrame([], "src long, dst long")
+
+        def step(deltas: Relations, totals: Relations) -> Relations:
+            fresh = self._derive(recursive, totals, deltas)
+            return {rel: df.join(totals[rel], ["src", "dst"], "left_anti") for rel, df in fresh.items()}
+
+        totals, self.iterations = fixpoint(init, step)
+        return totals
 
     def unpersist_edb(self) -> None:
-        for df in self.edb.values():
-            df.unpersist(blocking=False)
+        """Release the indexes this evaluator built, never shared ones."""
+        for idx in self._owned:
+            idx.unpersist()

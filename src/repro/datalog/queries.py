@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
+from repro.core.iterate import StaticIndex
 from repro.core.trace import materialize
 from repro.datalog.engine import Atom, Evaluator, Program, Rule
 
@@ -58,9 +59,9 @@ def edges_df(spark: SparkSession, edges: pd.DataFrame) -> DataFrame:
 
 
 def build_indexes(spark: SparkSession, edges: pd.DataFrame) -> Dict[str, DataFrame]:
-    """Shared static arrangement of the edge relation (built once)."""
-    ev = Evaluator(spark, TC_PROGRAM, {"e": edges_df(spark, edges)})
-    return ev.edb
+    """Shared static arrangement of the edge relation (built once; the
+    caller releases it with ``indexes["e"].unpersist()``)."""
+    return {"e": StaticIndex(edges_df(spark, edges), ["src"], "e").df}
 
 
 def tc_full(
@@ -89,13 +90,13 @@ def tc_from(spark: SparkSession, indexes: Dict[str, DataFrame], node: int) -> Da
     Returns ``(src=node, dst)`` rows including the artificial seed pair
     ``(node, node)``; callers that care subtract it.
     """
-    ev = Evaluator(spark, TC_FROM, {"e": indexes["e"]}, indexes=indexes)
+    ev = Evaluator(spark, TC_FROM, indexes, indexes=indexes)
     return ev.run(seeds={"tc_from": _seed(spark, node)})["tc_from"]
 
 
 def tc_to(spark: SparkSession, indexes: Dict[str, DataFrame], node: int) -> DataFrame:
     """``tc(?, x)``: nodes that reach ``node``, via shared arrangements."""
-    ev = Evaluator(spark, TC_TO, {"e": indexes["e"]}, indexes=indexes)
+    ev = Evaluator(spark, TC_TO, indexes, indexes=indexes)
     return ev.run(seeds={"tc_to": _seed(spark, node)})["tc_to"]
 
 
@@ -108,13 +109,12 @@ def sg_from(spark: SparkSession, indexes: Dict[str, DataFrame], node: int) -> Da
     so the bottom-up derivation only touches relevant facts.
     """
     e = indexes["e"]
-    anc_ev = Evaluator(spark, TC_TO, {"e": e}, indexes=indexes)
-    anc = anc_ev.run(seeds={"tc_to": _seed(spark, node)})["tc_to"]
+    anc = tc_to(spark, indexes, node)
     magic = anc.select(F.col("dst").alias("m")).distinct()
     erm = (
         e.join(magic, e["dst"] == magic["m"], "left_semi")
         .select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )  # erm(X, P) = e(P, X) with X in the magic set
-    ev = Evaluator(spark, SG_MAGIC, {"erm": erm, "e": e}, indexes={"erm": materialize(erm)[0], "e": e})
-    sg = ev.run()["sg"]
+    restricted = {"erm": materialize(erm)[0], "e": e}
+    sg = Evaluator(spark, SG_MAGIC, restricted, indexes=restricted).run()["sg"]
     return sg.filter(F.col("src") == node)

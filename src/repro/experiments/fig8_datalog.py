@@ -37,11 +37,13 @@ def run(spark: SparkSession, n_args: int = 10, seed: int = 0) -> pd.DataFrame:
         indexes = build_indexes(spark, edges)
         # full evaluation baselines (fresh index build each, like Fig. 8)
         t0 = _time.perf_counter()
-        tc_full(spark, edges)
+        _, ev_tc = tc_full(spark, edges)
         tc_full_secs = _time.perf_counter() - t0
         t0 = _time.perf_counter()
-        sg_full(spark, edges)
+        _, ev_sg = sg_full(spark, edges)
         sg_full_secs = _time.perf_counter() - t0
+        ev_tc.unpersist_edb()
+        ev_sg.unpersist_edb()
         for qname, fn in _QUERIES.items():
             lats = []
             for arg in rng.choice(nodes, size=n_args, replace=False):
@@ -59,4 +61,5 @@ def run(spark: SparkSession, n_args: int = 10, seed: int = 0) -> pd.DataFrame:
                     ),
                 }
             )
+        indexes["e"].unpersist()
     return pd.DataFrame(rows)

@@ -8,6 +8,8 @@ higher job count per ``Dataflow.step()``.
 import pandas as pd
 
 from repro.core.dataflow import Dataflow
+from repro.datalog.queries import build_indexes, sg_from
+from repro.graphs.gen import tree_graph
 
 #: most Spark jobs any of the three rounds below may start.  Measured at
 #: 22/31/29 jobs per round with the single-exchange consolidation and
@@ -36,3 +38,21 @@ def test_jobs_per_step_within_budget(spark, spark_jobs):
         jobs.append(spark_jobs(flow.step)[1])
     assert sorted(q.result()["k"]) == [1, 2, 3, 4]
     assert max(jobs) <= MAX_JOBS_PER_STEP, f"Spark jobs per step {jobs}"
+
+
+#: most Spark jobs ``sg_from`` (two IDB relations, ``sg`` and ``sg_t1``,
+#: after a ``tc_to`` for its magic set) may start on a depth-4 binary tree.
+#: Measured at 40 jobs with the one fixpoint loop, which fires EDB-only
+#: rules once and only recursive rules per step; the previous evaluator,
+#: with its own loop and an ``initial`` flag, started 44.
+MAX_JOBS_SG_FROM = 40
+
+
+def test_sg_from_jobs_within_budget(spark, spark_jobs):
+    indexes = build_indexes(spark, tree_graph(4, 2))
+    sg, jobs = spark_jobs(lambda: sg_from(spark, indexes, 5).collect())
+    indexes["e"].unpersist()
+    # node 5's sibling is 6; its parent 2 is of one generation with 1,
+    # whose children are 3 and 4
+    assert {(r["src"], r["dst"]) for r in sg} == {(5, 3), (5, 4), (5, 6)}
+    assert jobs <= MAX_JOBS_SG_FROM, f"Spark jobs of sg_from {jobs}"
