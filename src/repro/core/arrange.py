@@ -1,12 +1,14 @@
 """The arrange operator: maintained, shareable, multiversioned indexed state.
 
-An :class:`Arrangement` owns a collection :class:`~repro.core.trace.Trace`
-plus the *operational index*: a cached snapshot of the collection accumulated
-to the current frontier, hash-partitioned by the arrangement key.  The
-snapshot corresponds to the fully merged + compacted main layer of the
-paper's LSM trace — it is what arrangement-aware joins and reductions probe —
-while the batch list in the trace retains (possibly compacted) historical
-detail for multiversioned readers and imports.
+An :class:`Arrangement` *is* its collection :class:`~repro.core.trace.Trace`:
+a few immutable batches of update triples, each hash-partitioned by the
+arrangement key — the paper's LSM layers (§4.1–4.2).  Each round the
+operator seals that round's updates as one batch; amortized merges keep the
+batch count logarithmic.  Operators read the arrangement as the union of its
+batches (:meth:`Arrangement.snapshot`), which is not consolidated: joins are
+bilinear and distribute over it, and reductions consolidate only the keys
+they recompute.  So per-round work and memory track the batch, not the
+accumulated state, and each piece of state is kept once.
 
 Readers access an arrangement through :class:`TraceHandle` (§4.3): each
 handle carries a frontier, the arrangement only compacts distinctions no
@@ -19,9 +21,10 @@ import itertools
 import time as _time
 from typing import Dict, List, Optional, Sequence
 
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.trace import DIFF_COL, MULT_COL, Trace, consolidate, materialize
+# ``materialize`` stays bound here: the benchmark's tracer patches it by name.
+from repro.core.trace import Trace, materialize  # noqa: F401
 
 _arr_ids = itertools.count()
 
@@ -67,6 +70,8 @@ class Arrangement:
     :class:`TraceHandle`\\ s and read :meth:`snapshot` / per-round deltas.
     """
 
+    _snap_df = None  # no snapshot beside the trace; the benchmark's tracer reads this
+
     def __init__(
         self,
         spark: SparkSession,
@@ -82,12 +87,9 @@ class Arrangement:
         self.key_cols = list(key_cols)
         self.trace = Trace(data_cols, key_cols, merge_effort=merge_effort)
         self.handles: List[TraceHandle] = []
-        #: cached snapshot (data_cols + __mult) and the round it reflects
-        self._snap_df: Optional[DataFrame] = None
-        self._snap_time: int = -1
         self._deltas: Dict[int, Optional[DataFrame]] = {}
-        #: wall-clock seconds spent maintaining this index (batch seal +
-        #: snapshot roll); the redundant-maintenance cost the paper's Fig. 1b
+        #: wall-clock seconds spent maintaining this index (batch seal and
+        #: merges); the redundant-maintenance cost the paper's Fig. 1b
         #: attributes to unshared configurations.
         self.maintenance_secs: float = 0.0
         self.destroyed = False
@@ -95,43 +97,23 @@ class Arrangement:
     # -- writer API ---------------------------------------------------------
 
     def ingest(self, round_: int, updates: Optional[DataFrame]) -> Optional[DataFrame]:
-        """Seal ``updates`` (times == round_) as the batch for this round and
-        roll the operational snapshot forward.
+        """Seal ``updates`` (times == round_) as the batch for this round.
 
         Returns the sealed (cached, materialized) batch DataFrame, or None if
         the round was empty.  Sealing materializes the delta *before* any
         upstream cached state it lazily references is unpersisted, cutting
         the cross-round lineage chain.
         """
-        if round_ <= self._snap_time:
+        if round_ <= self.current_time:
             raise ValueError(f"arrangement {self.name} already ingested round {round_}")
         t0 = _time.perf_counter()
         batch = self.trace.seal(updates, upper=round_ + 1)
-        if batch is not None:
-            self._roll_snapshot(round_, batch.df)
-        else:
-            self._snap_time = round_
         sealed = batch.df if batch is not None else None
         self._deltas[round_] = sealed
         for r in [r for r in self._deltas if r < round_ - 1]:
             del self._deltas[r]
         self.maintenance_secs += _time.perf_counter() - t0
         return sealed
-
-    def _roll_snapshot(self, round_: int, updates: DataFrame) -> None:
-        as_updates = (
-            self._snap_df.withColumnRenamed(MULT_COL, DIFF_COL)
-            if self._snap_df is not None
-            else None
-        )
-        delta = updates.select(*self.data_cols, F.col(DIFF_COL))
-        merged = as_updates.unionByName(delta) if as_updates is not None else delta
-        new_snap, self.snapshot_rows = materialize(
-            consolidate(merged, self.data_cols, self.key_cols, MULT_COL)
-        )
-        if self._snap_df is not None:
-            self._snap_df.unpersist(blocking=False)
-        self._snap_df, self._snap_time = new_snap, round_
 
     # -- reader API ---------------------------------------------------------
 
@@ -141,15 +123,11 @@ class Arrangement:
         return h
 
     def snapshot(self, round_: int) -> Optional[DataFrame]:
-        """The collection accumulated to ``round_`` (data_cols + __mult).
-
-        Fast path when ``round_`` equals the current snapshot time (the common
-        case in synchronous rounds); otherwise a multiversioned read through
-        the trace.
-        """
-        if round_ == self._snap_time:
-            return self._snap_df
-        return self.trace.read_at(round_)
+        """The collection at ``round_`` as the union of the trace batches
+        (``data_cols + __mult``, not consolidated; see
+        :meth:`~repro.core.trace.Trace.accumulated`).  A lazy plan: reading
+        starts no Spark job."""
+        return self.trace.accumulated(round_)
 
     def delta(self, round_: int) -> Optional[DataFrame]:
         """The updates ingested at exactly ``round_`` (None if empty)."""
@@ -159,11 +137,8 @@ class Arrangement:
 
     @property
     def current_time(self) -> int:
-        return self._snap_time
-
-    def has_state(self) -> bool:
-        """Whether the arrangement holds any accumulated records."""
-        return self._snap_df is not None and self.snapshot_rows > 0
+        """The newest round ingested (-1 before the first)."""
+        return self.trace.upper - 1
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -180,19 +155,11 @@ class Arrangement:
         return len([h for h in self.handles if not h.dropped])
 
     def estimated_bytes(self) -> int:
-        snap = (
-            getattr(self, "snapshot_rows", 0) * len(self.data_cols) * 16
-            if self._snap_df is not None
-            else 0
-        )
-        return self.trace.estimated_bytes() + snap
+        return self.trace.estimated_bytes()
 
     def destroy(self) -> None:
-        """Unpersist every cached structure (private arrangements at retire)."""
+        """Unpersist every cached batch (private arrangements at retire)."""
         if self.destroyed:
             return
         self.destroyed = True
         self.trace.unpersist()
-        if self._snap_df is not None:
-            self._snap_df.unpersist(blocking=False)
-            self._snap_df = None

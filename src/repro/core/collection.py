@@ -8,11 +8,13 @@ evaluate once.
 
 A :class:`Reader` is the *arranged* view of a collection: it additionally
 offers :meth:`Reader.snap`, the collection accumulated to round ``r``
-(``data… + __mult``), backed by a shared or private
+(``data… + __mult`` rows whose multiplicities sum per record, not
+consolidated), backed by a shared or private
 :class:`~repro.core.arrange.Arrangement`.  Key-preserving stateless operators
 (§5.1: ``filter``, column maps that keep the key) are implemented as *wrappers
-around readers* that filter/transform both the delta stream and the snapshot
-view without re-arranging — exactly the paper's filter-as-wrapper design.
+around readers* that filter/transform both the delta stream and the
+accumulated view row by row without re-arranging — exactly the paper's
+filter-as-wrapper design.
 Key-altering operators (§5.2: general ``map``) exist only on streams.
 """
 from __future__ import annotations
@@ -145,7 +147,7 @@ class InputStream(Stream):
 
 
 class Reader:
-    """Arranged view of a collection: per-round deltas + accumulated snapshots.
+    """Arranged view of a collection: per-round deltas + accumulated views.
 
     The common protocol of arrangement readers (§4.3's trace handles as seen
     by operators).  ``key_cols`` documents the arrangement's index key.

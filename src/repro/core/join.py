@@ -1,12 +1,15 @@
 """Arrangement-aware join (§5.3.1).
 
 The join operator is bilinear; with both inputs arranged, the output delta at
-round ``r`` is computed from the inputs' deltas and accumulated snapshots:
+round ``r`` is computed from the inputs' deltas and accumulated collections:
 
     d(A ⋈ B) = dA ⋈ B(r)  +  A(r) ⋈ dB  −  dA ⋈ dB
 
-(using the *current* snapshots ``A(r) = A(r-1) + dA`` so the operator needs
-only the state its arranged inputs already maintain this round).  Deltas are
+(using the *current* collections ``A(r) = A(r-1) + dA`` so the operator needs
+only the state its arranged inputs already maintain this round).  ``A(r)``
+is read as the union of A's trace batches, not consolidated: by
+bilinearity, joining a delta against the union is the sum of its joins
+against each batch, so no batch is merged or copied for a read.  Deltas are
 explicitly broadcast: this is the Spark rendition of the paper's "move the
 (small) update batch to the pre-sharded arranged state" — the arranged side is
 never re-shuffled or re-indexed, which is what makes installing a new query

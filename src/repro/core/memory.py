@@ -4,7 +4,7 @@ Two meters, cross-checked in tests:
 
 * :func:`spark_cached_bytes` — ground truth from the JVM block manager via
   ``sc.getRDDStorageInfo()``: bytes of every cached block (all of our cached
-  DataFrames are arrangement batches and snapshots).
+  DataFrames are arrangement trace batches).
 * ``Dataflow.memory_bytes()`` — an O(1) row-count-based estimate maintained by
   the arrangements themselves, used inside tight measurement loops where a
   JVM round-trip would perturb latency numbers.
@@ -26,6 +26,6 @@ def spark_cached_bytes(spark: SparkSession) -> int:
 
 
 def cached_rdd_count(spark: SparkSession) -> int:
-    """Number of cached RDDs (arrangement batches + snapshots) alive."""
+    """Number of cached RDDs (arrangement trace batches) alive."""
     jsc = spark.sparkContext._jsc.sc()  # noqa: SLF001
     return len(jsc.getRDDStorageInfo())

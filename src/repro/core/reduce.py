@@ -1,9 +1,10 @@
 """The group/reduce operator with a shared output arrangement (§5.3.2).
 
 Per round, the operator identifies the keys touched by its input delta,
-re-forms the input for exactly those keys from the input arrangement's
-snapshot, applies the reduction, and subtracts the previously produced output
-(read from its own **output arrangement**) to emit corrective updates —
+semi-joins exactly those keys out of the input arrangement's batches,
+consolidates that subset (the batches are not consolidated with each other),
+applies the reduction, and subtracts the previously produced output (read
+from its own **output arrangement**) to emit corrective updates —
 retraction/assertion pairs as negative/positive diffs.
 
 The output arrangement serves double duty, as in the paper: it lets the
@@ -27,7 +28,7 @@ from pyspark.sql import Column, DataFrame, SparkSession, functions as F
 
 from repro.core.arrange import Arrangement
 from repro.core.collection import Reader, Stream
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL
+from repro.core.trace import DIFF_COL, MULT_COL, T_COL, net_mult
 
 _GROUP = "__g"
 
@@ -155,14 +156,18 @@ class ReduceNode(Stream, Reader):
             if self.out_arr.current_time < round_:
                 self.out_arr.ingest(round_, None)
             return None
-        snap_in = self.in_reader.snap(round_)
         keys = self.reduce_keys
         changed = F.broadcast(din.select(*keys).distinct()) if keys else None
-        cur = snap_in
-        if cur is not None and changed is not None:
-            cur = cur.join(changed, keys, "left_semi")
-        new_out = self.agg.apply(cur, keys) if cur is not None else None
-        old = self.out_arr.snapshot(round_ - 1) if self.out_arr.current_time >= 0 else None
+        cur = self.in_reader.snap(round_)
+        new_out = None
+        if cur is not None:
+            if changed is not None:
+                cur = cur.join(changed, keys, "left_semi")
+            # distinct, min, max and pandas reducers need one row per record
+            # with a positive multiplicity; the input batches only sum to that.
+            new_out = self.agg.apply(net_mult(cur, self.in_reader.data_cols), keys)
+        # The old output needs no consolidation: the delta's groupBy sums it.
+        old = self.out_arr.snapshot(round_ - 1)
         if old is not None and changed is not None:
             old = old.join(changed, keys, "left_semi")
         terms: List[DataFrame] = []
@@ -186,7 +191,7 @@ class ReduceNode(Stream, Reader):
             .withColumn(T_COL, F.lit(round_))
         )
         # ingest materializes the delta (and cuts its lineage) *before* the
-        # old output snapshot it references is unpersisted.
+        # old output batches it references are unpersisted.
         return self.out_arr.ingest(round_, delta)
 
     # -- Reader protocol: downstream joins may consume the output index ------

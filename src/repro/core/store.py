@@ -4,9 +4,9 @@
 source stream once per round and feeds the wrapped
 :class:`~repro.core.arrange.Arrangement`.  :class:`ArrangementReader` is the
 per-query import of an arrangement (§4.3's ``import``): on its first pull it
-emits the arrangement's full consolidated history as one large batch — so a
-freshly installed query immediately reflects all prior events — and normal
-per-round deltas afterwards.
+emits the arrangement's batches themselves, stamped with the current round —
+so a freshly installed query immediately reflects all prior events, with no
+consolidation or data movement — and normal per-round deltas afterwards.
 
 :class:`ArrangementStore` decides whether state is shared:
 
@@ -27,7 +27,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core.arrange import Arrangement, TraceHandle
 from repro.core.collection import InputStream, Reader, Stream
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL
+from repro.core.trace import T_COL
 
 
 class ArrangeNode:
@@ -68,10 +68,6 @@ class ArrangeNode:
         self.arrangement.ingest(round_, d)
         return self.arrangement.delta(round_)
 
-    def snapshot(self, round_: int) -> Optional[DataFrame]:
-        self.advance(round_)
-        return self.arrangement.snapshot(round_)
-
     def destroy(self) -> None:
         self.arrangement.destroy()
 
@@ -90,17 +86,11 @@ class ArrangementReader(Reader):
     def delta(self, round_: int) -> Optional[DataFrame]:
         d = self.node.advance(round_)
         if not self._imported:
-            # §4.3 import: the first batch a new reader sees is the full
-            # consolidated history up to *and including* this round.
+            # §4.3 import: the first delta a new reader sees is the trace's
+            # batches up to *and including* this round, as they are.
             self._imported = True
-            snap = self.node.snapshot(round_)
-            out = (
-                None
-                if snap is None
-                else snap.withColumnRenamed(MULT_COL, DIFF_COL).withColumn(
-                    T_COL, F.lit(round_)
-                )
-            )
+            ups = self.node.arrangement.trace.updates()
+            out = None if ups is None else ups.withColumn(T_COL, F.lit(round_))
             self._import_memo = (round_, out)
             return out
         if self._import_memo is not None and self._import_memo[0] == round_:
@@ -109,7 +99,8 @@ class ArrangementReader(Reader):
         return d
 
     def snap(self, round_: int) -> Optional[DataFrame]:
-        return self.node.snapshot(round_)
+        self.node.advance(round_)
+        return self.node.arrangement.snapshot(round_)
 
     def retire(self) -> None:
         self.handle.drop()

@@ -92,6 +92,15 @@ def consolidate(
     )
 
 
+def net_mult(df: DataFrame, cols: Sequence[str]) -> DataFrame:
+    """Sum ``MULT_COL`` per ``cols`` and drop zero sums (a lazy plan)."""
+    return (
+        df.groupBy(*cols)
+        .agg(F.sum(MULT_COL).alias(MULT_COL))
+        .filter(F.col(MULT_COL) != 0)
+    )
+
+
 @dataclass
 class Batch:
     """One immutable, indexed batch of update triples.
@@ -245,25 +254,32 @@ class Trace:
             out = out.unionByName(d)
         return out
 
-    def read_at(self, t: int) -> Optional[DataFrame]:
-        """The collection accumulated to time ``t``: ``data_cols + __mult``.
+    def accumulated(self, t: int) -> Optional[DataFrame]:
+        """The collection at time ``t`` as the union of the batches:
+        ``data_cols + __mult`` rows, *not* consolidated.
 
-        Only correct for ``t`` beyond the compaction frontier — the same
-        contract a trace handle provides in §4.3.
+        A record may sit in several batches, negated in some; its rows sum
+        to its multiplicity.  Bilinear operators such as join read this
+        directly, others consolidate what they read (§4.2).  ``T_COL <= t``
+        is filtered only for ``t`` below the newest sealed round.  Only
+        correct for ``t`` beyond the compaction frontier (§4.3).
         """
         if t < self.compaction_frontier:
             raise ValueError(
-                f"read_at({t}) below compaction frontier {self.compaction_frontier}"
+                f"read at {t} below compaction frontier {self.compaction_frontier}"
             )
         ups = self.updates()
         if ups is None:
             return None
-        return (
-            ups.filter(F.col(T_COL) <= t)
-            .groupBy(*self.data_cols)
-            .agg(F.sum(DIFF_COL).alias(MULT_COL))
-            .filter(F.col(MULT_COL) != 0)
-        )
+        if t < self.upper - 1:
+            ups = ups.filter(F.col(T_COL) <= t)
+        return ups.select(*self.data_cols, F.col(DIFF_COL).alias(MULT_COL))
+
+    def read_at(self, t: int) -> Optional[DataFrame]:
+        """The collection accumulated to time ``t``, consolidated:
+        ``data_cols + __mult`` with one row per record and no zeros."""
+        acc = self.accumulated(t)
+        return None if acc is None else net_mult(acc, self.data_cols)
 
     def updates_in(self, lower: int, upper: int) -> Optional[DataFrame]:
         """Updates with ``lower <= t < upper`` (post-compaction times)."""

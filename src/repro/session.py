@@ -5,7 +5,8 @@ The test suite's ``spark`` fixture (``conftest.py``), the jobs run under
 session here, so their numbers are comparable.  Broadcast joins are
 disabled so the shuffle/join paths are exercised at small scale factors; a
 reproduction that wants a broadcast join sets the threshold back for that
-query.
+query.  PySpark's call-site capture is off: it costs a JVM round trip and a
+stack walk per DataFrame/Column call (and ``import IPython`` on the first).
 """
 from __future__ import annotations
 
@@ -26,5 +27,6 @@ def get_session(app: str = "repro-job") -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )

@@ -1,10 +1,12 @@
 """End-to-end engine semantics: incremental == batch, sharing == no sharing."""
+from collections import Counter
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.dataflow import Dataflow
-from repro.core.reduce import PandasAgg, SqlAgg, w_count, w_sum
+from repro.core.reduce import PandasAgg, SqlAgg, w_count, w_min, w_sum
 
 
 def kv(rows):
@@ -318,3 +320,65 @@ class TestSharedUnsharedEquivalence:
 
     def test_results_identical(self, spark):
         assert self._run(spark, True) == self._run(spark, False)
+
+
+class TestUnconsolidatedReads:
+    """Reducers read the input arrangement as the union of its batches.
+
+    With lazy merging, a key asserted in a large first batch and retracted
+    in a later one-row batch stays in two batches, as a +1 row and a -1 row.
+    ``distinct`` and ``min`` must see it as absent, so the reduce has to
+    consolidate the rows it reads; every round is checked against pandas,
+    including queries installed after the retraction (the §4.3 import).
+    """
+
+    @staticmethod
+    def distinct_kv(ctx):
+        return ctx.distinct(ctx.arranged("a", ["k"]), ["k", "v"])
+
+    @staticmethod
+    def min_v(ctx):
+        return ctx.reduce(
+            ctx.arranged("a", ["k"]), ["k"], SqlAgg([w_min("v").alias("mn")], ["mn"])
+        )
+
+    @staticmethod
+    def check(queries, live: Counter) -> None:
+        rows = pd.DataFrame(list(live.elements()), columns=["k", "v"])
+        want_distinct = sorted_records(rows.drop_duplicates())
+        want_min = sorted_records(rows.groupby("k", as_index=False)["v"].min())
+        for name, q in queries.items():
+            want = want_distinct if name.startswith("distinct") else want_min
+            assert sorted_records(q.result()) == want, name
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_reduce_consolidates_split_retraction(self, spark, shared):
+        flow = Dataflow(spark, shared=shared, merge_effort="lazy")
+        flow.input("a", ["k", "v"])
+        queries = {
+            "distinct": flow.install("distinct", self.distinct_kv),
+            "min": flow.install("min", self.min_v),
+        }
+        live = Counter((k % 50, k) for k in range(200))
+        live.update([(0, -5), (0, -7)])
+        flow.feed("a", kv(list(live.elements())))
+        flow.step()
+        self.check(queries, live)
+
+        flow.feed("a", kv([(0, -5)]), diff=-1)
+        live.subtract([(0, -5)])
+        flow.step()
+        arranged = [n.arrangement for n in flow.store.nodes]
+        assert all(len(a.trace.batches) == 2 for a in arranged)
+        self.check(queries, live)
+
+        queries["distinct_late"] = flow.install("distinct_late", self.distinct_kv)
+        queries["min_late"] = flow.install("min_late", self.min_v)
+        self.check(queries, live)
+
+        flow.feed("a", kv([(0, -7)]), diff=-1)
+        flow.feed("a", kv([(1, -1)]))
+        live.subtract([(0, -7)])
+        live.update([(1, -1)])
+        flow.step()
+        self.check(queries, live)

@@ -16,6 +16,7 @@ from repro.datalog.queries import build_indexes, sg_from, sg_full, tc_from, tc_f
 from repro.graphs import baselines
 from repro.graphs.gen import tree_graph
 from tests.test_datalog import py_sg, py_tc, rows
+from tests.test_memory import settled_rdd_bytes
 
 
 def reach(spark, e, source):
@@ -40,7 +41,9 @@ def sssp(spark, e, source):
 
 class TestIndexOwnership:
     def test_unpersisted_index_frees_its_blocks(self, spark):
-        before = spark_cached_bytes(spark)
+        # settled: blocks earlier tests left unreachable must not be freed
+        # by the ContextCleaner in the middle of this test
+        before = sum(settled_rdd_bytes(spark).values())
         idx = build_indexes(spark, tree_graph(5, 2))
         assert spark_cached_bytes(spark) > before
         idx["e"].unpersist(blocking=True)

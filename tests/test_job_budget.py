@@ -12,10 +12,12 @@ from repro.datalog.queries import build_indexes, sg_from
 from repro.graphs.gen import tree_graph
 
 #: most Spark jobs any of the three rounds below may start.  Measured at
-#: 22/31/29 jobs per round with the single-exchange consolidation and
-#: observed row counts; the previous engine (groupBy then repartition, a
-#: ``.count()`` after every checkpoint) started 45/66/61.
-MAX_JOBS_PER_STEP = 31
+#: 14/23/21 jobs per round with operators reading the trace batches
+#: directly; with a consolidated snapshot re-checkpointed per arrangement
+#: every round it was 22/31/29, and before the single-exchange
+#: consolidation and observed row counts (groupBy then repartition, a
+#: ``.count()`` after every checkpoint) 45/66/61.
+MAX_JOBS_PER_STEP = 23
 
 
 def test_jobs_per_step_within_budget(spark, spark_jobs):
