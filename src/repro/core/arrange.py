@@ -11,22 +11,20 @@ they recompute.  So per-round work and memory track the batch, not the
 accumulated state, and each piece of state is kept once.
 
 Readers access an arrangement through :class:`TraceHandle` (§4.3): each
-handle carries a frontier, the arrangement only compacts distinctions no
-handle still needs, and dropping the last handle lets the owner release the
-state entirely (the unshared baseline does exactly that at query retirement).
+handle carries a frontier, and the arrangement only compacts distinctions no
+handle still needs.  Every arrangement — of an input, of a derived
+collection, or of a reduce's output — is built the same way: an
+:class:`~repro.core.store.ArrangeNode` in the dataflow's
+:class:`~repro.core.store.ArrangementStore`.
 """
 from __future__ import annotations
 
-import itertools
-import time as _time
 from typing import Dict, List, Optional, Sequence
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 # ``materialize`` stays bound here: the benchmark's tracer patches it by name.
 from repro.core.trace import Trace, materialize  # noqa: F401
-
-_arr_ids = itertools.count()
 
 
 class TraceHandle:
@@ -49,12 +47,6 @@ class TraceHandle:
         self.frontier = frontier
         self.arrangement._update_compaction()
 
-    def read_at(self, t: int) -> Optional[DataFrame]:
-        """Accumulated collection at ``t`` (must be beyond the handle frontier)."""
-        if t < self.frontier:
-            raise ValueError(f"read_at({t}) below handle frontier {self.frontier}")
-        return self.arrangement.trace.read_at(t)
-
     def drop(self) -> None:
         """Release the handle; the arrangement may compact or be destroyed."""
         if not self.dropped:
@@ -74,30 +66,24 @@ class Arrangement:
 
     def __init__(
         self,
-        spark: SparkSession,
         name: str,
         data_cols: Sequence[str],
         key_cols: Sequence[str],
         merge_effort: str = "default",
     ) -> None:
-        self.spark = spark
         self.name = name
-        self.arr_id = next(_arr_ids)
         self.data_cols = list(data_cols)
         self.key_cols = list(key_cols)
         self.trace = Trace(data_cols, key_cols, merge_effort=merge_effort)
         self.handles: List[TraceHandle] = []
         self._deltas: Dict[int, Optional[DataFrame]] = {}
-        #: wall-clock seconds spent maintaining this index (batch seal and
-        #: merges); the redundant-maintenance cost the paper's Fig. 1b
-        #: attributes to unshared configurations.
-        self.maintenance_secs: float = 0.0
         self.destroyed = False
 
     # -- writer API ---------------------------------------------------------
 
     def ingest(self, round_: int, updates: Optional[DataFrame]) -> Optional[DataFrame]:
-        """Seal ``updates`` (times == round_) as the batch for this round.
+        """Seal ``updates`` (times up to ``round_``) as the batch that
+        advances the arrangement to ``round_``.
 
         Returns the sealed (cached, materialized) batch DataFrame, or None if
         the round was empty.  Sealing materializes the delta *before* any
@@ -106,13 +92,11 @@ class Arrangement:
         """
         if round_ <= self.current_time:
             raise ValueError(f"arrangement {self.name} already ingested round {round_}")
-        t0 = _time.perf_counter()
         batch = self.trace.seal(updates, upper=round_ + 1)
         sealed = batch.df if batch is not None else None
         self._deltas[round_] = sealed
         for r in [r for r in self._deltas if r < round_ - 1]:
             del self._deltas[r]
-        self.maintenance_secs += _time.perf_counter() - t0
         return sealed
 
     # -- reader API ---------------------------------------------------------

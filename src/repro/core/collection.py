@@ -126,23 +126,19 @@ class InputStream(Stream):
         super().__init__(data_cols)
         self.name = name
         self._rounds: Dict[int, DataFrame] = {}
-        self._history: List[DataFrame] = []
 
     def assign(self, round_: int, df: Optional[DataFrame]) -> None:
         if df is not None:
             self._rounds[round_] = df
-            self._history.append(df)
 
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
         return self._rounds.get(round_)
 
     def history(self) -> Optional[DataFrame]:
         """Union of every update ever fed (bootstrap source for re-indexing)."""
-        if not self._history:
-            return None
-        out = self._history[0]
-        for d in self._history[1:]:
-            out = out.unionByName(d)
+        out = None
+        for d in self._rounds.values():
+            out = d if out is None else out.unionByName(d)
         return out
 
 

@@ -100,16 +100,15 @@ class Query:
 class QueryContext:
     """Operator-construction API handed to a query builder function.
 
-    Tracks every reader handle and private stateful operator the query
-    creates, so retirement can release them (and, in unshared mode, free the
-    query's redundant index copies).
+    Tracks every reader handle the query creates, so retirement can release
+    them and destroy the query's private arrangements (derived collections,
+    reduce outputs and, in unshared mode, its redundant index copies).
     """
 
     def __init__(self, dataflow: "Dataflow", query_name: str) -> None:
         self.dataflow = dataflow
         self.query_name = query_name
         self.readers: List[Reader] = []
-        self.reduce_nodes: List[ReduceNode] = []
         self._fresh = 0
 
     # -- sources -------------------------------------------------------------
@@ -135,17 +134,14 @@ class QueryContext:
         self.readers.append(r)
         return r
 
-    def arrange(self, stream: Stream, key_cols: Sequence[str], name: Optional[str] = None) -> Reader:
+    def arrange(
+        self, stream: Stream, key_cols: Sequence[str], name: Optional[str] = None
+    ) -> ArrangementReader:
         """Privately arrange a derived collection by ``key_cols``."""
         self._fresh += 1
-        node = self.dataflow.store.private_node(
-            stream,
-            key_cols,
-            self.dataflow.round,
-            self.query_name,
-            name or f"{self.query_name}/arr{self._fresh}",
+        r = self.dataflow.store.private_reader(
+            stream, key_cols, self.query_name, name or f"{self.query_name}/arr{self._fresh}"
         )
-        r = ArrangementReader(node)
         self.readers.append(r)
         return r
 
@@ -192,16 +188,13 @@ class QueryContext:
     ) -> ReduceNode:
         """Group ``src`` by ``key_cols`` and reduce; output is arranged."""
         self._fresh += 1
-        node = ReduceNode(
-            self.dataflow.spark,
+        return ReduceNode(
+            self,
             self._as_reader(src, key_cols),
             key_cols,
             agg,
             name or f"{self.query_name}/red{self._fresh}",
-            merge_effort=self.dataflow.store.merge_effort,
         )
-        self.reduce_nodes.append(node)
-        return node
 
     def distinct(self, src: Union[Reader, Stream], cols: Sequence[str]) -> ReduceNode:
         """Reduce every present key to multiplicity one (semi-join indicator)."""
@@ -239,8 +232,6 @@ class QueryContext:
     def retire(self) -> None:
         for r in self.readers:
             r.retire()
-        for n in self.reduce_nodes:
-            n.retire()
         self.dataflow.store.retire_query(self.query_name)
 
 
@@ -256,10 +247,9 @@ class Dataflow:
         self.spark = spark
         self.round = 0
         self.inputs: Dict[str, InputStream] = {}
-        self.store = ArrangementStore(spark, shared=shared, merge_effort=merge_effort)
+        self.store = ArrangementStore(shared=shared, merge_effort=merge_effort)
         self.queries: Dict[str, Query] = {}
         self._staged: Dict[str, List[pd.DataFrame]] = {}
-        self.step_latencies: List[float] = []
 
     # -- inputs ----------------------------------------------------------------
 
@@ -308,9 +298,7 @@ class Dataflow:
         for q in self.queries.values():
             q.sink.pull(r)
         self.store.advance_all(r)
-        elapsed = _time.perf_counter() - t0
-        self.step_latencies.append(elapsed)
-        return elapsed
+        return _time.perf_counter() - t0
 
     # -- queries -------------------------------------------------------------------
 

@@ -12,7 +12,11 @@ operator diff against its prior output without re-invoking user logic over
 history, and it makes the reduce's result itself an arranged collection
 (:class:`ReduceNode` implements :class:`~repro.core.collection.Reader`), so a
 downstream join can consume the reduction's index directly — the
-group-then-join idiom §5.3.2 calls out.
+group-then-join idiom §5.3.2 calls out.  It is an ordinary private
+arrangement in the query's :class:`~repro.core.store.ArrangementStore`: the
+operator's corrections are its source stream, its reader's trace handle
+advances every round so it compacts like any other arrangement, and it is
+released when the query retires.
 
 Aggregate helpers weight by multiplicity, and floating-point aggregates are
 rounded (4 dp) *inside the operator* so that a later retraction reproduces
@@ -21,14 +25,17 @@ same rounding.
 """
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession, functions as F
+from pyspark.sql import Column, DataFrame, functions as F
 
 from repro.core.arrange import Arrangement
 from repro.core.collection import Reader, Stream
 from repro.core.trace import DIFF_COL, MULT_COL, T_COL, net_mult
+
+if TYPE_CHECKING:
+    from repro.core.dataflow import QueryContext
 
 _GROUP = "__g"
 
@@ -128,35 +135,25 @@ class PandasAgg:
         return out.drop(_GROUP) if not key_cols else out
 
 
-class ReduceNode(Stream, Reader):
-    """Stateful group/reduce over an arranged input; output is arranged."""
+class _Corrections(Stream):
+    """A reduce's output updates per round, as a lazy plan: the reduction of
+    the keys the input delta touched, minus their output as of the previous
+    round (read from ``output``, the arrangement these updates are sealed
+    into).  Sealing materializes them, cutting their lineage, before the old
+    output batches they reference are unpersisted."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        in_reader: Reader,
-        key_cols: Sequence[str],
-        agg,
-        name: str,
-        merge_effort: str = "default",
-    ) -> None:
-        out_cols = list(key_cols) + list(agg.out_cols)
-        Stream.__init__(self, out_cols)
+    def __init__(self, in_reader: Reader, key_cols: Sequence[str], agg) -> None:
+        super().__init__(list(key_cols) + list(agg.out_cols))
         self.in_reader = in_reader
-        self.reduce_keys = list(key_cols)
+        self.key_cols = list(key_cols)
         self.agg = agg
-        self.key_cols = list(key_cols)  # Reader protocol: output index key
-        self.out_arr = Arrangement(
-            spark, name, out_cols, list(key_cols), merge_effort=merge_effort
-        )
+        self.output: Optional[Arrangement] = None
 
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
         din = self.in_reader.delta(round_)
         if din is None:
-            if self.out_arr.current_time < round_:
-                self.out_arr.ingest(round_, None)
             return None
-        keys = self.reduce_keys
+        keys = self.key_cols
         changed = F.broadcast(din.select(*keys).distinct()) if keys else None
         cur = self.in_reader.snap(round_)
         new_out = None
@@ -167,7 +164,7 @@ class ReduceNode(Stream, Reader):
             # with a positive multiplicity; the input batches only sum to that.
             new_out = self.agg.apply(net_mult(cur, self.in_reader.data_cols), keys)
         # The old output needs no consolidation: the delta's groupBy sums it.
-        old = self.out_arr.snapshot(round_ - 1)
+        old = self.output.snapshot(round_ - 1)
         if old is not None and changed is not None:
             old = old.join(changed, keys, "left_semi")
         terms: List[DataFrame] = []
@@ -178,21 +175,36 @@ class ReduceNode(Stream, Reader):
                 old.withColumn(DIFF_COL, -F.col(MULT_COL)).drop(MULT_COL)
             )
         if not terms:
-            if self.out_arr.current_time < round_:
-                self.out_arr.ingest(round_, None)
             return None
         delta = terms[0]
         for t in terms[1:]:
             delta = delta.unionByName(t)
-        delta = (
+        return (
             delta.groupBy(*self.data_cols)
             .agg(F.sum(DIFF_COL).alias(DIFF_COL))
             .filter(F.col(DIFF_COL) != 0)
             .withColumn(T_COL, F.lit(round_))
         )
-        # ingest materializes the delta (and cuts its lineage) *before* the
-        # old output batches it references are unpersisted.
-        return self.out_arr.ingest(round_, delta)
+
+
+class ReduceNode(Stream, Reader):
+    """Stateful group/reduce over an arranged input; output is arranged.
+
+    The output is the query's private arrangement ``name`` of the
+    corrections; its sealed batches are this node's deltas.
+    """
+
+    def __init__(
+        self, ctx: "QueryContext", in_reader: Reader, key_cols: Sequence[str], agg, name: str
+    ) -> None:
+        corrections = _Corrections(in_reader, key_cols, agg)
+        self.out = ctx.arrange(corrections, key_cols, name)
+        corrections.output = self.out.node.arrangement
+        Stream.__init__(self, corrections.data_cols)
+        self.key_cols = list(key_cols)  # Reader protocol: output index key
+
+    def _compute_delta(self, round_: int) -> Optional[DataFrame]:
+        return self.out.delta(round_)
 
     # -- Reader protocol: downstream joins may consume the output index ------
     # ReduceNode is both a Stream and a Reader; the *Reader* wrappers must
@@ -204,8 +216,4 @@ class ReduceNode(Stream, Reader):
 
     def snap(self, round_: int) -> Optional[DataFrame]:
         self.delta(round_)
-        return self.out_arr.snapshot(round_)
-
-    def retire(self) -> None:
-        self.in_reader.retire()
-        self.out_arr.destroy()
+        return self.out.snap(round_)

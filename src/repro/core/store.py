@@ -1,29 +1,42 @@
-"""The sharing registry: where shared arrangements actually get shared.
+"""The sharing registry: every arrangement of a dataflow, built one way.
 
-:class:`ArrangeNode` is the dataflow-facing arrange operator: it pulls its
-source stream once per round and feeds the wrapped
-:class:`~repro.core.arrange.Arrangement`.  :class:`ArrangementReader` is the
-per-query import of an arrangement (§4.3's ``import``): on its first pull it
-emits the arrangement's batches themselves, stamped with the current round —
-so a freshly installed query immediately reflects all prior events, with no
-consolidation or data movement — and normal per-round deltas afterwards.
+:class:`ArrangeNode` is the dataflow-facing arrange operator: each round it
+seals its source stream's delta into the wrapped
+:class:`~repro.core.arrange.Arrangement`.  Arrangements of inputs, of derived
+(mid-query) collections and of reduce outputs are all such nodes, created,
+advanced every round and released at query retirement the same way.
+:class:`ArrangementReader` is the per-query import of an arrangement (§4.3's
+``import``): on its first pull it emits the arrangement's batches
+themselves, stamped with the current round — so a freshly installed query
+immediately reflects all prior events, with no consolidation or data
+movement — and normal per-round deltas afterwards, advancing its trace
+handle so the arrangement may compact what no reader distinguishes.
 
-:class:`ArrangementStore` decides whether state is shared:
+A node created at round ``r`` starts empty and its first ``advance(r)``
+seals everything its source has up to ``r``: a derived collection's delta at
+its install round is already the import of the arrangements it reads, and an
+input arrangement is sealed from the input's history when it is created,
+because only the input keeps its past.
+
+:class:`ArrangementStore` decides whether input arrangements are shared:
 
 * ``shared=True`` — one arrangement per ``(input, key)``; later queries attach
   via a new trace handle with **no data movement** (the paper's system).
+  Shared arrangements are never released.
 * ``shared=False`` — every request builds a *private* arrangement by
   re-indexing the input's accumulated history (shuffle + cache), and each
   private copy is redundantly maintained every round and destroyed at query
   retirement.  This is the "not shared" baseline of Fig. 1, representative of
   stream processors whose operator state is private.
+
+Arrangements of derived collections and reduce outputs are always private to
+their query.
 """
 from __future__ import annotations
 
-import time as _time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import DataFrame, functions as F
 
 from repro.core.arrange import Arrangement, TraceHandle
 from repro.core.collection import InputStream, Reader, Stream
@@ -35,37 +48,21 @@ class ArrangeNode:
 
     def __init__(
         self,
-        spark: SparkSession,
         source: Stream,
         key_cols: Sequence[str],
         name: str,
         merge_effort: str = "default",
-        bootstrap: Optional[DataFrame] = None,
-        created_round: int = 0,
     ) -> None:
         self.source = source
         self.arrangement = Arrangement(
-            spark, name, source.data_cols, key_cols, merge_effort=merge_effort
+            name, source.data_cols, key_cols, merge_effort=merge_effort
         )
-        self.created_round = created_round
         self.owner_query: Optional[str] = None  # set for private/unshared nodes
-        if bootstrap is not None:
-            # Re-index accumulated history as one big initial batch: this is
-            # the install-time cost shared arrangements avoid.
-            self.arrangement.ingest(created_round, bootstrap)
-        elif created_round > 0:
-            # No history: just advance the empty arrangement to "now".
-            self.arrangement.ingest(created_round, None)
 
     def advance(self, round_: int) -> Optional[DataFrame]:
         """Ingest the source's round-``round_`` delta (idempotent per round)."""
-        if self.arrangement.current_time >= round_:
-            return self.arrangement.delta(round_)
-        # Catch up intermediate empty rounds if the node was not pulled.
-        while self.arrangement.current_time < round_ - 1:
-            self.arrangement.ingest(self.arrangement.current_time + 1, None)
-        d = self.source.delta(round_)
-        self.arrangement.ingest(round_, d)
+        if self.arrangement.current_time < round_:
+            self.arrangement.ingest(round_, self.source.delta(round_))
         return self.arrangement.delta(round_)
 
     def destroy(self) -> None:
@@ -109,14 +106,11 @@ class ArrangementReader(Reader):
 class ArrangementStore:
     """Registry of every live arrangement; the sharing (or not) policy."""
 
-    def __init__(self, spark: SparkSession, shared: bool = True, merge_effort: str = "default") -> None:
-        self.spark = spark
+    def __init__(self, shared: bool = True, merge_effort: str = "default") -> None:
         self.shared = shared
         self.merge_effort = merge_effort
         self._by_key: Dict[Tuple[str, Tuple[str, ...]], ArrangeNode] = {}
         self.nodes: List[ArrangeNode] = []
-        #: cumulative wall seconds spent building arrangements at install time
-        self.install_build_secs: float = 0.0
 
     # -- acquisition ---------------------------------------------------------
 
@@ -130,48 +124,34 @@ class ArrangementStore:
         """Arranged view of an input collection by ``key_cols``.
 
         Shared mode reuses (or creates once) the ``(input, key)`` arrangement;
-        unshared mode always builds a private copy from the input's history.
+        unshared mode always builds a private copy.  A new arrangement
+        re-indexes the input's history as one batch up to ``round_``: this
+        is the install-time cost shared arrangements avoid.
         """
         key = (input_stream.name, tuple(key_cols))
         if self.shared and key in self._by_key:
             return ArrangementReader(self._by_key[key])
-        t0 = _time.perf_counter()
-        node = ArrangeNode(
-            self.spark,
-            input_stream,
-            key_cols,
-            name=f"{input_stream.name}[{','.join(key_cols)}]"
-            + ("" if self.shared else f"@{query}"),
-            merge_effort=self.merge_effort,
-            bootstrap=input_stream.history(),
-            created_round=round_,
+        suffix = "" if self.shared else f"@{query}"
+        node = self._node(
+            input_stream, key_cols, f"{input_stream.name}[{','.join(key_cols)}]{suffix}"
         )
-        self.install_build_secs += _time.perf_counter() - t0
+        node.arrangement.ingest(round_, input_stream.history())
         if self.shared:
             self._by_key[key] = node
         else:
             node.owner_query = query
-        self.nodes.append(node)
         return ArrangementReader(node)
 
-    def private_node(
-        self,
-        source: Stream,
-        key_cols: Sequence[str],
-        round_: int,
-        query: Optional[str],
-        name: str,
-    ) -> ArrangeNode:
-        """A private arrangement of a derived (mid-query) collection."""
-        node = ArrangeNode(
-            self.spark,
-            source,
-            key_cols,
-            name=name,
-            merge_effort=self.merge_effort,
-            created_round=round_,
-        )
+    def private_reader(
+        self, source: Stream, key_cols: Sequence[str], query: str, name: str
+    ) -> ArrangementReader:
+        """Arranged view of a derived collection, private to ``query``."""
+        node = self._node(source, key_cols, name)
         node.owner_query = query
+        return ArrangementReader(node)
+
+    def _node(self, source: Stream, key_cols: Sequence[str], name: str) -> ArrangeNode:
+        node = ArrangeNode(source, key_cols, name, merge_effort=self.merge_effort)
         self.nodes.append(node)
         return node
 
@@ -184,22 +164,15 @@ class ArrangementStore:
             node.advance(round_)
 
     def retire_query(self, query: str) -> None:
-        """Destroy all arrangements owned by ``query`` (private / unshared)."""
-        doomed = [n for n in self.nodes if n.owner_query == query]
-        for n in doomed:
+        """Destroy all arrangements owned by ``query``."""
+        for n in [n for n in self.nodes if n.owner_query == query]:
             n.destroy()
             self.nodes.remove(n)
-            for k, v in list(self._by_key.items()):
-                if v is n:
-                    del self._by_key[k]
 
     # -- accounting ------------------------------------------------------------
 
     def total_bytes(self) -> int:
         return sum(n.arrangement.estimated_bytes() for n in self.nodes)
-
-    def maintenance_secs(self) -> float:
-        return sum(n.arrangement.maintenance_secs for n in self.nodes)
 
     def arrangement_count(self) -> int:
         return len(self.nodes)

@@ -33,8 +33,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from pyspark.sql import DataFrame, Observation, functions as F
 
-from repro.core.lattice import Frontier, int_time
-
 #: reserved metadata column names on update DataFrames
 T_COL = "__t"
 DIFF_COL = "__diff"
@@ -301,7 +299,3 @@ class Trace:
             b.unpersist()
         self.batches.clear()
         self._retired.clear()
-
-    def frontiers(self) -> Frontier:
-        """This trace's upper frontier as a lattice frontier (for tests)."""
-        return Frontier([int_time(self.upper)])

@@ -7,6 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.core.dataflow import Dataflow
 from repro.core.memory import cached_rdd_count, spark_cached_bytes
+from repro.core.reduce import SqlAgg, w_sum
 from repro.core.trace import DIFF_COL, T_COL, materialize
 
 #: most block-manager bytes an arranged input may hold, as a multiple of
@@ -14,6 +15,14 @@ from repro.core.trace import DIFF_COL, T_COL, materialize
 #: batches as the only state; keeping a consolidated snapshot beside the
 #: trace measured 4.6 (snapshots still referenced by memoized plans count).
 MAX_COPIES = 1.25
+
+#: most trace rows an arrangement may hold per live record after long
+#: churn.  Measured at 7.0 for the input, derived and reduce-output
+#: arrangements of the churn test below (a 350-row trace over 50 records,
+#: compaction frontier one round behind); a reduce output that never
+#: compacted grew by 100 rows a round.
+MAX_TRACE_ROWS_PER_LIVE_ROW = 8
+CHURN_KEYS, CHURN_ROUNDS = 50, 40
 
 
 def test_spark_cached_bytes_reflects_arrangement_state(spark):
@@ -90,3 +99,32 @@ def test_state_is_kept_once(spark):
     copy, _ = materialize(copy)
     copy_bytes = bytes_cached_since(spark, before)
     assert flow_bytes <= MAX_COPIES * copy_bytes, (flow_bytes, copy_bytes)
+
+
+def test_state_stays_bounded_under_churn(spark):
+    """Every arrangement compacts under insert+retract churn: the input's,
+    a derived collection's and a reduce output's traces stay within a
+    constant factor of their live records, and the store (so
+    ``memory_bytes()``) holds all three."""
+    flow = Dataflow(spark, shared=True)
+    flow.input("a", ["k", "v"])
+
+    def build(ctx):
+        derived = ctx.arrange(ctx.arranged("a", ["k"]).as_stream(), ["k"], "a_copy")
+        return ctx.reduce(derived, ["k"], SqlAgg([w_sum("v").alias("s")], ["s"]), "sums")
+
+    q = flow.install("q", build)
+    keys = list(range(CHURN_KEYS))
+    for r in range(1, CHURN_ROUNDS + 1):
+        flow.feed("a", pd.DataFrame({"k": keys, "v": [r] * CHURN_KEYS}))
+        if r > 1:
+            flow.feed("a", pd.DataFrame({"k": keys, "v": [r - 1] * CHURN_KEYS}), diff=-1)
+        flow.step()
+    assert sorted(q.result().itertuples(index=False)) == [(k, CHURN_ROUNDS) for k in keys]
+
+    arrangements = {n.arrangement.name: n.arrangement for n in flow.store.nodes}
+    assert set(arrangements) == {"a[k]", "a_copy", "sums"}
+    for name, a in arrangements.items():
+        live = a.trace.read_at(a.current_time).count()
+        assert a.trace.total_rows() <= MAX_TRACE_ROWS_PER_LIVE_ROW * live, (
+            name, a.trace.total_rows(), live)
