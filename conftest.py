@@ -48,13 +48,10 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# Only what the JVM reads at launch; every other setting (master included)
+# comes from repro.session.get_session.
 os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
+    "PYSPARK_SUBMIT_ARGS", f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} pyspark-shell"
 )
 
 import pytest  # noqa: E402
@@ -67,7 +64,7 @@ from repro.session import get_session  # noqa: E402
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
+    Driver memory comes from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch); every other setting comes from
     :func:`repro.session.get_session`, the one session config shared with
     jobs and benchmarks.

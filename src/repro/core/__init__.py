@@ -4,11 +4,12 @@ Layering (bottom → top):
 
 * ``lattice``    — logical timestamps, frontiers, compaction math (App. A).
 * ``trace``      — multiversioned collection traces over Spark DataFrames.
-* ``arrange``    — the arrange operator, ``Arrangement`` and ``TraceHandle``.
-* ``store``      — the sharing registry (shared vs. per-query private state).
+* ``arrange``    — the arrange operator and ``Arrangement``.
+* ``store``      — the sharing registry (shared vs. per-query private state),
+  the readers that are the arrangements' trace handles, and their release.
 * ``collection`` — streams of update triples + stateless operators.
 * ``join``/``reduce`` — arrangement-aware stateful operators.
-* ``iterate``    — semi-naive fixpoints and DRed incremental recursion.
+* ``iterate``    — the semi-naive fixpoint loop and static indexes.
 * ``dataflow``   — query wiring, rounds, install/retire of live queries.
 """
 

@@ -158,9 +158,6 @@ class Reader:
     def snap(self, round_: int) -> Optional[DataFrame]:
         raise NotImplementedError
 
-    def retire(self) -> None:
-        """Release any trace handles held by this reader."""
-
     # -- key-preserving wrappers (§5.1) -------------------------------------
 
     def filter(self, cond) -> "Reader":
@@ -216,9 +213,6 @@ class _FilteredReader(Reader):
         s = self.base.snap(round_)
         return None if s is None else s.filter(self.cond)
 
-    def retire(self) -> None:
-        self.base.retire()
-
 
 class _MappedReader(Reader):
     """Key-preserving column transform over an arrangement (no re-indexing)."""
@@ -238,6 +232,3 @@ class _MappedReader(Reader):
     def snap(self, round_: int) -> Optional[DataFrame]:
         s = self.base.snap(round_)
         return None if s is None else self.fn(s).select(*self.data_cols, MULT_COL)
-
-    def retire(self) -> None:
-        self.base.retire()

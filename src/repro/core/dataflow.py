@@ -100,15 +100,15 @@ class Query:
 class QueryContext:
     """Operator-construction API handed to a query builder function.
 
-    Tracks every reader handle the query creates, so retirement can release
-    them and destroy the query's private arrangements (derived collections,
-    reduce outputs and, in unshared mode, its redundant index copies).
+    Tracks every arrangement reader the query creates, so retirement can
+    retire them; the store then releases each arrangement left without a
+    reader.
     """
 
     def __init__(self, dataflow: "Dataflow", query_name: str) -> None:
         self.dataflow = dataflow
         self.query_name = query_name
-        self.readers: List[Reader] = []
+        self.readers: List[ArrangementReader] = []
         self._fresh = 0
 
     # -- sources -------------------------------------------------------------
@@ -140,7 +140,7 @@ class QueryContext:
         """Privately arrange a derived collection by ``key_cols``."""
         self._fresh += 1
         r = self.dataflow.store.private_reader(
-            stream, key_cols, self.query_name, name or f"{self.query_name}/arr{self._fresh}"
+            stream, key_cols, name or f"{self.query_name}/arr{self._fresh}"
         )
         self.readers.append(r)
         return r
@@ -228,11 +228,6 @@ class QueryContext:
         """``left ▷ right``: left minus semi-join, via concat + negate."""
         left_r = self._as_reader(left, on[0])
         return left_r.as_stream().concat(self.semi_join(left_r, right, on).negate())
-
-    def retire(self) -> None:
-        for r in self.readers:
-            r.retire()
-        self.dataflow.store.retire_query(self.query_name)
 
 
 class Dataflow:
@@ -328,9 +323,10 @@ class Dataflow:
         return q
 
     def retire(self, name: str) -> Query:
-        """Remove a query; release its handles and destroy private state."""
+        """Remove a query; retire its readers, releasing every arrangement
+        left without one."""
         q = self.queries.pop(name)
-        q.context.retire()
+        self.store.retire(q.context.readers)
         return q
 
     # -- accounting --------------------------------------------------------------------

@@ -14,9 +14,9 @@ history, and it makes the reduce's result itself an arranged collection
 downstream join can consume the reduction's index directly — the
 group-then-join idiom §5.3.2 calls out.  It is an ordinary private
 arrangement in the query's :class:`~repro.core.store.ArrangementStore`: the
-operator's corrections are its source stream, its reader's trace handle
+operator's corrections are its source stream, its reader's frontier
 advances every round so it compacts like any other arrangement, and it is
-released when the query retires.
+released when the query retires its reader.
 
 Aggregate helpers weight by multiplicity, and floating-point aggregates are
 rounded (4 dp) *inside the operator* so that a later retraction reproduces
@@ -139,8 +139,8 @@ class _Corrections(Stream):
     """A reduce's output updates per round, as a lazy plan: the reduction of
     the keys the input delta touched, minus their output as of the previous
     round (read from ``output``, the arrangement these updates are sealed
-    into).  Sealing materializes them, cutting their lineage, before the old
-    output batches they reference are unpersisted."""
+    into).  Sealing materializes them, cutting their lineage to the old
+    output batches they reference."""
 
     def __init__(self, in_reader: Reader, key_cols: Sequence[str], agg) -> None:
         super().__init__(list(key_cols) + list(agg.out_cols))

@@ -4,13 +4,14 @@
 seals its source stream's delta into the wrapped
 :class:`~repro.core.arrange.Arrangement`.  Arrangements of inputs, of derived
 (mid-query) collections and of reduce outputs are all such nodes, created,
-advanced every round and released at query retirement the same way.
-:class:`ArrangementReader` is the per-query import of an arrangement (§4.3's
-``import``): on its first pull it emits the arrangement's batches
-themselves, stamped with the current round — so a freshly installed query
-immediately reflects all prior events, with no consolidation or data
-movement — and normal per-round deltas afterwards, advancing its trace
-handle so the arrangement may compact what no reader distinguishes.
+advanced every round and released the same way.
+:class:`ArrangementReader` is the per-query import of an arrangement and its
+trace handle (§4.3's ``import``): on its first pull it emits the
+arrangement's batches themselves, stamped with the current round — so a
+freshly installed query immediately reflects all prior events, with no
+consolidation or data movement — and normal per-round deltas afterwards,
+advancing its frontier so the arrangement may compact what no reader
+distinguishes.
 
 A node created at round ``r`` starts empty and its first ``advance(r)``
 seals everything its source has up to ``r``: a derived collection's delta at
@@ -21,16 +22,18 @@ because only the input keeps its past.
 :class:`ArrangementStore` decides whether input arrangements are shared:
 
 * ``shared=True`` — one arrangement per ``(input, key)``; later queries attach
-  via a new trace handle with **no data movement** (the paper's system).
-  Shared arrangements are never released.
+  via a new reader with **no data movement** (the paper's system).
 * ``shared=False`` — every request builds a *private* arrangement by
   re-indexing the input's accumulated history (shuffle + cache), and each
-  private copy is redundantly maintained every round and destroyed at query
-  retirement.  This is the "not shared" baseline of Fig. 1, representative of
-  stream processors whose operator state is private.
+  private copy is redundantly maintained every round.  This is the "not
+  shared" baseline of Fig. 1, representative of stream processors whose
+  operator state is private.
 
 Arrangements of derived collections and reduce outputs are always private to
-their query.
+their query.  In both modes an arrangement is released when its last reader
+retires (§4.3): a workload that wants one to outlive its queries keeps a
+reader on it, and a later request for a released ``(input, key)`` re-indexes
+the input's history like any new arrangement.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from pyspark.sql import DataFrame, functions as F
 
-from repro.core.arrange import Arrangement, TraceHandle
+from repro.core.arrange import Arrangement
 from repro.core.collection import InputStream, Reader, Stream
 from repro.core.trace import T_COL
 
@@ -57,7 +60,6 @@ class ArrangeNode:
         self.arrangement = Arrangement(
             name, source.data_cols, key_cols, merge_effort=merge_effort
         )
-        self.owner_query: Optional[str] = None  # set for private/unshared nodes
 
     def advance(self, round_: int) -> Optional[DataFrame]:
         """Ingest the source's round-``round_`` delta (idempotent per round)."""
@@ -66,17 +68,28 @@ class ArrangeNode:
         return self.arrangement.delta(round_)
 
     def destroy(self) -> None:
-        self.arrangement.destroy()
+        """Drop the references to the arrangement's batches (its trace's and
+        its newest delta, which no round may read after this); Spark's
+        ContextCleaner frees their blocks once no plan reaches them."""
+        self.arrangement.trace.batches.clear()
+        self.arrangement.newest = (-1, None)
 
 
 class ArrangementReader(Reader):
-    """One query's view of an arrangement (a trace handle + import node)."""
+    """One query's view of an arrangement: its import node and trace handle.
+
+    ``frontier`` is the handle's frontier (§4.3): this reader no longer
+    distinguishes times before it, so the arrangement may compact them once
+    every reader agrees.
+    """
 
     def __init__(self, node: ArrangeNode) -> None:
         self.node = node
-        self.handle: TraceHandle = node.arrangement.new_handle()
-        self.data_cols = list(node.arrangement.data_cols)
-        self.key_cols = list(node.arrangement.key_cols)
+        arrangement = node.arrangement
+        self.frontier: int = arrangement.trace.compaction_frontier
+        arrangement.readers.append(self)
+        self.data_cols = list(arrangement.data_cols)
+        self.key_cols = list(arrangement.key_cols)
         self._imported = False
         self._import_memo: Tuple[int, Optional[DataFrame]] | None = None
 
@@ -92,7 +105,8 @@ class ArrangementReader(Reader):
             return out
         if self._import_memo is not None and self._import_memo[0] == round_:
             return self._import_memo[1]
-        self.handle.advance(max(self.handle.frontier, round_ - 1))
+        self.frontier = max(self.frontier, round_ - 1)
+        self.node.arrangement.compact()
         return d
 
     def snap(self, round_: int) -> Optional[DataFrame]:
@@ -100,11 +114,14 @@ class ArrangementReader(Reader):
         return self.node.arrangement.snapshot(round_)
 
     def retire(self) -> None:
-        self.handle.drop()
+        """Drop this handle; the arrangement compacts for the readers left."""
+        self.node.arrangement.readers.remove(self)
+        self.node.arrangement.compact()
 
 
 class ArrangementStore:
-    """Registry of every live arrangement; the sharing (or not) policy."""
+    """Registry of every live arrangement; the sharing (or not) policy, and
+    the one place an arrangement is released."""
 
     def __init__(self, shared: bool = True, merge_effort: str = "default") -> None:
         self.shared = shared
@@ -123,10 +140,10 @@ class ArrangementStore:
     ) -> ArrangementReader:
         """Arranged view of an input collection by ``key_cols``.
 
-        Shared mode reuses (or creates once) the ``(input, key)`` arrangement;
-        unshared mode always builds a private copy.  A new arrangement
-        re-indexes the input's history as one batch up to ``round_``: this
-        is the install-time cost shared arrangements avoid.
+        Shared mode reuses (or creates) the ``(input, key)`` arrangement;
+        unshared mode always builds a private copy, named after ``query``.
+        A new arrangement re-indexes the input's history as one batch up to
+        ``round_``: this is the install-time cost shared arrangements avoid.
         """
         key = (input_stream.name, tuple(key_cols))
         if self.shared and key in self._by_key:
@@ -138,17 +155,13 @@ class ArrangementStore:
         node.arrangement.ingest(round_, input_stream.history())
         if self.shared:
             self._by_key[key] = node
-        else:
-            node.owner_query = query
         return ArrangementReader(node)
 
     def private_reader(
-        self, source: Stream, key_cols: Sequence[str], query: str, name: str
+        self, source: Stream, key_cols: Sequence[str], name: str
     ) -> ArrangementReader:
-        """Arranged view of a derived collection, private to ``query``."""
-        node = self._node(source, key_cols, name)
-        node.owner_query = query
-        return ArrangementReader(node)
+        """Arranged view of a derived collection, private to its reader."""
+        return ArrangementReader(self._node(source, key_cols, name))
 
     def _node(self, source: Stream, key_cols: Sequence[str], name: str) -> ArrangeNode:
         node = ArrangeNode(source, key_cols, name, merge_effort=self.merge_effort)
@@ -158,16 +171,21 @@ class ArrangementStore:
     # -- round processing / lifecycle ----------------------------------------
 
     def advance_all(self, round_: int) -> None:
-        """Ensure every live arrangement ingested ``round_`` (the arrange
-        operator keeps writing batches even with zero readers, §4.2)."""
+        """Ensure every live arrangement ingested ``round_``, whether or not
+        a reader pulled it this round."""
         for node in list(self.nodes):
             node.advance(round_)
 
-    def retire_query(self, query: str) -> None:
-        """Destroy all arrangements owned by ``query``."""
-        for n in [n for n in self.nodes if n.owner_query == query]:
+    def retire(self, readers: Sequence[ArrangementReader]) -> None:
+        """Retire ``readers`` and release every arrangement left without a
+        reader (§4.3), shared or private alike."""
+        for r in readers:
+            r.retire()
+        idle = [n for n in self.nodes if n.arrangement.reader_count() == 0]
+        for n in idle:
             n.destroy()
-            self.nodes.remove(n)
+        self.nodes = [n for n in self.nodes if n not in idle]
+        self._by_key = {k: n for k, n in self._by_key.items() if n not in idle}
 
     # -- accounting ------------------------------------------------------------
 

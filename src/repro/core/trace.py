@@ -117,9 +117,6 @@ class Batch:
         """Fallback size estimate: rows x columns x constant."""
         return self.rows * len(self.df.columns) * _EST_BYTES_PER_CELL
 
-    def unpersist(self) -> None:
-        self.df.unpersist(blocking=False)
-
 
 class Trace:
     """A shard-partitioned, multiversioned index over update triples.
@@ -143,10 +140,6 @@ class Trace:
             raise ValueError(f"unknown merge_effort {merge_effort!r}")
         self.merge_effort = merge_effort
         self.batches: List[Batch] = []
-        #: batches merged away this round; unpersisted at the *next* seal so
-        #: same-round readers holding their shared references stay cheap
-        #: (the paper's reference-counted batch sharing, §4.2).
-        self._retired: List[Batch] = []
         #: compaction frontier: the meet of all reader-handle frontiers.
         #: Times before it are indistinguishable to every reader and may be
         #: coalesced to ``rep_F(t) = max(t, frontier)`` (1-d lattice).
@@ -166,9 +159,6 @@ class Trace:
         """
         if upper <= self.upper:
             raise ValueError(f"trace upper {self.upper} cannot regress to {upper}")
-        for b in self._retired:
-            b.unpersist()
-        self._retired.clear()
         lower, self.upper = self.upper, upper
         if updates is None:
             return None
@@ -210,7 +200,6 @@ class Trace:
         b = self.batches.pop()
         lower, upper = min(a.lower, b.lower), max(a.upper, b.upper)
         merged, rows = self._consolidate(a.df.unionByName(b.df))
-        self._retired.extend((a, b))
         self.merge_count += 1
         if rows:
             self.batches.append(Batch(df=merged, lower=lower, upper=upper, rows=rows))
@@ -279,13 +268,6 @@ class Trace:
         acc = self.accumulated(t)
         return None if acc is None else net_mult(acc, self.data_cols)
 
-    def updates_in(self, lower: int, upper: int) -> Optional[DataFrame]:
-        """Updates with ``lower <= t < upper`` (post-compaction times)."""
-        ups = self.updates()
-        if ups is None:
-            return None
-        return ups.filter((F.col(T_COL) >= lower) & (F.col(T_COL) < upper))
-
     # -- accounting --------------------------------------------------------
 
     def estimated_bytes(self) -> int:
@@ -293,9 +275,3 @@ class Trace:
 
     def total_rows(self) -> int:
         return sum(b.rows for b in self.batches)
-
-    def unpersist(self) -> None:
-        for b in self.batches + self._retired:
-            b.unpersist()
-        self.batches.clear()
-        self._retired.clear()

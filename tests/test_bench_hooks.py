@@ -4,8 +4,10 @@
 methods by name (``Arrangement.ingest``, ``ArrangementStore.input_reader``,
 ``ArrangementReader.delta``, ``materialize`` in ``arrange``/``trace``) and by
 shadowing the ``delta`` that ``JoinNode`` and ``ReduceNode`` inherit from
-``Stream``.  A refactor that renames or moves one of them breaks the
-benchmark, not the engine's own tests; this test catches that first.
+``Stream``; it reads the store's arrangements and their ``reader_count()``,
+and ``perfbench/workloads.py`` releases a flow with ``node.destroy()``.  A
+refactor that renames or moves one of them breaks the benchmark, not the
+engine's own tests; this test catches that first.
 """
 import importlib.util
 import os
@@ -52,6 +54,15 @@ def test_tracer_wraps_the_engine(spark):
         assert {"arrange.ingest", "reduce.delta", "store.input_reader"} <= names, names
         state = tracer_mod._state_metrics(flow, 0)
         assert state["store.arrangements"] == len(flow.store.nodes)
+
+        # retiring a query releases what only it read; a[k] keeps a reader
+        flow.install("keep", lambda ctx: ctx.arranged("a", ["k"]).as_stream())
+        flow.retire("q")
+        state = tracer_mod._state_metrics(flow, 0)
+        assert state["store.idle_arrangements"] == 0
+        assert [n.arrangement.name for n in flow.store.nodes] == ["a[k]"]
+        for node in flow.store.nodes:  # the benchmark's _release_flow
+            node.destroy()
     finally:
         inst.remove()
     assert "delta" not in ReduceNode.__dict__

@@ -1,12 +1,15 @@
 """End-to-end engine semantics: incremental == batch, sharing == no sharing."""
+import time
 from collections import Counter
 
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.arrange import DeltaNotKept
 from repro.core.dataflow import Dataflow
 from repro.core.reduce import PandasAgg, SqlAgg, w_count, w_min, w_sum
+from tests.test_memory import bytes_cached_since, settled_rdd_bytes
 
 
 def kv(rows):
@@ -326,6 +329,16 @@ class TestInstallImport:
         df.install("q2", lambda ctx: ctx.arranged("a", ["k"]).as_stream())
         assert df.store.arrangement_count() == 2
 
+    def test_only_the_newest_delta_is_kept(self, flow):
+        flow.install("q", lambda ctx: ctx.arranged("a", ["k"]).as_stream())
+        for r in (1, 2):
+            flow.feed("a", kv([(r, r)]))
+            flow.step()
+        (arrangement,) = [n.arrangement for n in flow.store.nodes]
+        assert [tuple(x) for x in arrangement.delta(2).select("k", "v").collect()] == [(2, 2)]
+        with pytest.raises(DeltaNotKept):
+            arrangement.delta(1)
+
 
 class TestRetire:
     def test_retire_releases_private_state(self, spark):
@@ -348,6 +361,53 @@ class TestRetire:
         flow.feed("a", kv([(2, 20)]))
         flow.step()
         assert sorted_records(flow.queries["q2"].result()) == [(1, 10), (2, 20)]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_last_reader_releases_and_rebuild_is_correct(self, spark, shared):
+        """Retiring the last readers of ``a[k]`` releases it, blocks and all,
+        in either mode; a later query on ``a[k]`` re-indexes the input's
+        history and stays correct."""
+        flow = Dataflow(spark, shared=shared)
+        flow.input("a", ["k", "v"])
+        live = Counter({(1, 10): 1, (2, 20): 1, (3, 30): 1})
+        before = settled_rdd_bytes(spark)
+        for name in ("q1", "q2"):
+            flow.install(name, lambda ctx: ctx.arranged("a", ["k"]).as_stream())
+        flow.feed("a", kv(list(live)))
+        flow.step()
+        assert bytes_cached_since(spark, before) > 0
+        flow.retire("q1")
+        flow.retire("q2")
+        assert flow.store.arrangement_count() == 0
+        assert flow.memory_bytes() == 0
+        # the ContextCleaner frees unreachable blocks asynchronously
+        deadline = time.monotonic() + 30
+        while bytes_cached_since(spark, before) and time.monotonic() < deadline:
+            time.sleep(0.2)
+        assert bytes_cached_since(spark, before) == 0
+
+        def churn(insert, retract):
+            flow.feed("a", kv([insert]))
+            flow.feed("a", kv([retract]), diff=-1)
+            live[insert] += 1
+            live[retract] -= 1
+            flow.step()
+
+        def check(q):
+            rows = pd.DataFrame(list(live.elements()), columns=["k", "v"])
+            want = rows.groupby("k", as_index=False)["v"].sum()
+            assert sorted_records(q.result()) == sorted_records(want)
+
+        churn((1, 11), (2, 20))
+        q3 = flow.install(
+            "q3",
+            lambda ctx: ctx.reduce(
+                ctx.arranged("a", ["k"]), ["k"], SqlAgg([w_sum("v").alias("s")], ["s"])
+            ),
+        )
+        check(q3)
+        churn((4, 40), (1, 10))
+        check(q3)
 
 
 class TestSharedUnsharedEquivalence:

@@ -53,12 +53,6 @@ class TestSeal:
         assert read_dict(trace.read_at(1)) == {1: 1}
         assert read_dict(trace.read_at(2)) == {2: 1}
 
-    def test_updates_in_range(self, spark, trace):
-        trace.seal(updates(spark, [(1, 1)], t=1), upper=2)
-        trace.seal(updates(spark, [(2, 1)], t=2), upper=3)
-        got = trace.updates_in(2, 3).collect()
-        assert [(r["k"], r[DIFF_COL]) for r in got] == [(2, 1)]
-
 
 class TestMerging:
     def test_default_keeps_few_batches(self, spark):
@@ -127,8 +121,6 @@ class TestCompaction:
         tr.seal(updates(spark, [(1, 1), (2, 1)], t=1), upper=2)
         assert tr.total_rows() == 2
         assert tr.estimated_bytes() > 0
-        tr.unpersist()
-        assert tr.total_rows() == 0
 
 
 def shard_of_key(df):
