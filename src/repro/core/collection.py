@@ -6,34 +6,31 @@ the DataFrame of update triples ``(data…, __t, __diff)`` that occurred at
 untouched relations).  Deltas are memoized per round so shared sub-dataflows
 evaluate once.
 
-A :class:`Reader` is the *arranged* view of a collection: it additionally
-offers :meth:`Reader.snap`, the collection accumulated to round ``r``
-(``data… + __mult`` rows whose multiplicities sum per record, not
+A :class:`Reader` is a stream that is also arranged: besides its deltas it
+offers :meth:`Reader.snap`, the collection as that reader sees it at round
+``r`` (``data… + __mult`` rows whose multiplicities sum per record, not
 consolidated), backed by a shared or private
-:class:`~repro.core.arrange.Arrangement`.  Key-preserving stateless operators
-(§5.1: ``filter``, column maps that keep the key) are implemented as *wrappers
-around readers* that filter/transform both the delta stream and the
-accumulated view row by row without re-arranging — exactly the paper's
-filter-as-wrapper design.
-Key-altering operators (§5.2: general ``map``) exist only on streams.
+:class:`~repro.core.arrange.Arrangement`.  Operators that need an input's
+prior state read it one way, as ``snap(r - 1)``.  Key-preserving stateless
+operators (§5.1: ``filter``, ``rename``, column maps that keep the key) wrap
+a reader as another reader that transforms both its deltas and its view row
+by row without re-arranging — exactly the paper's filter-as-wrapper design.
+Key-altering operators (§5.2: general ``map``, ``select``) give plain
+streams.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Sequence  # noqa: F401
 
 from pyspark.sql import DataFrame, functions as F
 
 from repro.core.trace import DIFF_COL, MULT_COL, T_COL
 
-_node_ids = itertools.count()
-
 
 class Stream:
     """Base dataflow node: a per-round stream of update triples."""
 
     def __init__(self, data_cols: Sequence[str]) -> None:
-        self.node_id = next(_node_ids)
         self.data_cols = list(data_cols)
         self._memo: Dict[int, Optional[DataFrame]] = {}
 
@@ -142,18 +139,20 @@ class InputStream(Stream):
         return out
 
 
-class Reader:
-    """Arranged view of a collection: per-round deltas + accumulated views.
+class Reader(Stream):
+    """An arranged collection: a stream that can also be read through a
+    trace handle (§4.3).
 
-    The common protocol of arrangement readers (§4.3's trace handles as seen
-    by operators).  ``key_cols`` documents the arrangement's index key.
+    :meth:`snap` is the collection as *this reader* sees it at round ``r``:
+    ``data… + __mult`` rows whose multiplicities sum per record (not
+    consolidated).  The view is empty before the reader's import round (its
+    first delta), and the import delta is the whole trace, so the deltas a
+    reader emits always sum to its view.  ``snap`` never advances the
+    arrangement: pull ``delta(r)`` before reading ``snap`` at ``r``.
+    ``key_cols`` is the arrangement's index key.
     """
 
-    data_cols: List[str]
     key_cols: List[str]
-
-    def delta(self, round_: int) -> Optional[DataFrame]:
-        raise NotImplementedError
 
     def snap(self, round_: int) -> Optional[DataFrame]:
         raise NotImplementedError
@@ -161,11 +160,14 @@ class Reader:
     # -- key-preserving wrappers (§5.1) -------------------------------------
 
     def filter(self, cond) -> "Reader":
-        return _FilteredReader(self, cond)
+        return _MappedReader(self, lambda df: df.filter(cond), self.data_cols, self.key_cols)
 
     def map_data(self, fn: Callable[[DataFrame], DataFrame], data_cols: Sequence[str]) -> "Reader":
         """Column-level transform that must keep the key columns intact."""
-        return _MappedReader(self, fn, data_cols)
+        missing = set(self.key_cols) - set(data_cols)
+        if missing:
+            raise ValueError(f"map_data must preserve key columns, lost {missing}")
+        return _MappedReader(self, fn, data_cols, self.key_cols)
 
     def rename(self, mapping: Dict[str, str]) -> "Reader":
         """Rename data columns (key renames allowed: contents are unchanged,
@@ -176,59 +178,29 @@ class Reader:
                 df = df.withColumnRenamed(old, new)
             return df
 
-        data_cols = [mapping.get(c, c) for c in self.data_cols]
-        key_cols = [mapping.get(c, c) for c in self.key_cols]
-        out = _MappedReader.__new__(_MappedReader)
-        out.base, out.fn = self, fn
-        out.data_cols, out.key_cols = data_cols, key_cols
-        return out
+        return _MappedReader(
+            self,
+            fn,
+            [mapping.get(c, c) for c in self.data_cols],
+            [mapping.get(c, c) for c in self.key_cols],
+        )
 
     def as_stream(self) -> Stream:
         """Demote to a stream of update triples (drops index access)."""
-        return _ReaderStream(self)
+        return _Mapped(self, lambda df: df, self.data_cols)
 
 
-class _ReaderStream(Stream):
-    def __init__(self, reader: Reader) -> None:
-        super().__init__(reader.data_cols)
-        self.reader = reader
+class _MappedReader(_Mapped, Reader):
+    """§5.1: a row-wise transform (a filter, or a column map that keeps the
+    key) applied while navigating the wrapped arrangement, without
+    re-indexing."""
 
-    def _compute_delta(self, round_: int) -> Optional[DataFrame]:
-        return self.reader.delta(round_)
-
-
-class _FilteredReader(Reader):
-    """§5.1: a filter applied while navigating the wrapped arrangement."""
-
-    def __init__(self, base: Reader, cond) -> None:
-        self.base, self.cond = base, cond
-        self.data_cols = list(base.data_cols)
-        self.key_cols = list(base.key_cols)
-
-    def delta(self, round_: int) -> Optional[DataFrame]:
-        d = self.base.delta(round_)
-        return None if d is None else d.filter(self.cond)
+    def __init__(
+        self, source: Reader, fn, data_cols: Sequence[str], key_cols: Sequence[str]
+    ) -> None:
+        super().__init__(source, fn, data_cols)
+        self.key_cols = list(key_cols)
 
     def snap(self, round_: int) -> Optional[DataFrame]:
-        s = self.base.snap(round_)
-        return None if s is None else s.filter(self.cond)
-
-
-class _MappedReader(Reader):
-    """Key-preserving column transform over an arrangement (no re-indexing)."""
-
-    def __init__(self, base: Reader, fn, data_cols: Sequence[str]) -> None:
-        missing = set(base.key_cols) - set(data_cols)
-        if missing:
-            raise ValueError(f"map_data must preserve key columns, lost {missing}")
-        self.base, self.fn = base, fn
-        self.data_cols = list(data_cols)
-        self.key_cols = list(base.key_cols)
-
-    def delta(self, round_: int) -> Optional[DataFrame]:
-        d = self.base.delta(round_)
-        return None if d is None else self.fn(d).select(*self.data_cols, T_COL, DIFF_COL)
-
-    def snap(self, round_: int) -> Optional[DataFrame]:
-        s = self.base.snap(round_)
+        s = self.source.snap(round_)
         return None if s is None else self.fn(s).select(*self.data_cols, MULT_COL)

@@ -12,6 +12,13 @@ deployed mid-stream with :meth:`Dataflow.install` — which times the paper's
 *query installation latency*: the elapsed time until the new query's initial
 (correct, history-reflecting) result has been produced — and removed with
 :meth:`Dataflow.retire`.
+
+A query is built through its :class:`QueryContext` from streams and
+readers (a :class:`~repro.core.collection.Reader` is a stream that is also
+arranged): ``arranged`` and ``arrange`` give readers, ``join`` and
+``reduce`` arrange a plain stream input on demand, and ``reduce`` and
+``distinct`` return the reader of the reduce's output arrangement, so a
+downstream join reads it like any other.
 """
 from __future__ import annotations
 
@@ -145,15 +152,15 @@ class QueryContext:
         self.readers.append(r)
         return r
 
-    def _as_reader(self, src: Union[Reader, Stream], key_cols: Sequence[str]) -> Reader:
+    def _as_reader(self, src: Stream, key_cols: Sequence[str]) -> Reader:
         return src if isinstance(src, Reader) else self.arrange(src, key_cols)
 
     # -- operators -------------------------------------------------------------
 
     def join(
         self,
-        left: Union[Reader, Stream],
-        right: Union[Reader, Stream],
+        left: Stream,
+        right: Stream,
         on: Tuple[Sequence[str], Sequence[str]],
         select: Optional[Sequence[str]] = None,
     ) -> Stream:
@@ -164,8 +171,8 @@ class QueryContext:
 
     def join_scalar(
         self,
-        left: Union[Reader, Stream],
-        scalar: Union[Reader, Stream],
+        left: Stream,
+        scalar: Stream,
         select: Optional[Sequence[str]] = None,
     ) -> Stream:
         """Cross join against a (tiny) scalar/aggregate collection.
@@ -181,33 +188,28 @@ class QueryContext:
 
     def reduce(
         self,
-        src: Union[Reader, Stream],
+        src: Stream,
         key_cols: Sequence[str],
         agg: Union[SqlAgg, PandasAgg],
         name: Optional[str] = None,
-    ) -> ReduceNode:
-        """Group ``src`` by ``key_cols`` and reduce; output is arranged."""
+    ) -> ArrangementReader:
+        """Group ``src`` by ``key_cols`` and reduce; the result is the reader
+        of the reduce's output arrangement."""
         self._fresh += 1
-        return ReduceNode(
-            self,
-            self._as_reader(src, key_cols),
-            key_cols,
-            agg,
-            name or f"{self.query_name}/red{self._fresh}",
-        )
+        node = ReduceNode(self._as_reader(src, key_cols), key_cols, agg)
+        node.output = self.arrange(node, key_cols, name or f"{self.query_name}/red{self._fresh}")
+        return node.output
 
-    def distinct(self, src: Union[Reader, Stream], cols: Sequence[str]) -> ReduceNode:
+    def distinct(self, src: Stream, cols: Sequence[str]) -> ArrangementReader:
         """Reduce every present key to multiplicity one (semi-join indicator)."""
-        if isinstance(src, Reader) and set(src.data_cols) != set(cols):
-            src = src.as_stream().select(*cols)
-        elif isinstance(src, Stream) and set(src.data_cols) != set(cols):
+        if set(src.data_cols) != set(cols):
             src = src.select(*cols)
         return self.reduce(src, cols, DistinctAgg())
 
     def semi_join(
         self,
-        left: Union[Reader, Stream],
-        right: Union[Reader, Stream],
+        left: Stream,
+        right: Stream,
         on: Tuple[Sequence[str], Sequence[str]],
     ) -> Stream:
         """``left ⋉ right``: keep left rows whose key appears in right."""
@@ -221,13 +223,13 @@ class QueryContext:
 
     def anti_join(
         self,
-        left: Union[Reader, Stream],
-        right: Union[Reader, Stream],
+        left: Stream,
+        right: Stream,
         on: Tuple[Sequence[str], Sequence[str]],
     ) -> Stream:
         """``left ▷ right``: left minus semi-join, via concat + negate."""
         left_r = self._as_reader(left, on[0])
-        return left_r.as_stream().concat(self.semi_join(left_r, right, on).negate())
+        return left_r.concat(self.semi_join(left_r, right, on).negate())
 
 
 class Dataflow:

@@ -1,22 +1,24 @@
 """Arrangement-aware join (§5.3.1).
 
 The join operator is bilinear; with both inputs arranged, the output delta at
-round ``r`` is computed from the inputs' deltas and accumulated collections:
+round ``r`` is computed from the inputs' deltas and their readers' views:
 
-    d(A ⋈ B) = dA ⋈ B(r)  +  A(r) ⋈ dB  −  dA ⋈ dB
+    d(A ⋈ B) = dA ⋈ B(r)  +  A(r-1) ⋈ dB
 
-(using the *current* collections ``A(r) = A(r-1) + dA`` so the operator needs
-only the state its arranged inputs already maintain this round).  ``A(r)``
-is read as the union of A's trace batches, not consolidated: by
-bilinearity, joining a delta against the union is the sum of its joins
-against each batch, so no batch is merged or copied for a read.  Deltas are
-explicitly broadcast: this is the Spark rendition of the paper's "move the
-(small) update batch to the pre-sharded arranged state" — the arranged side is
-never re-shuffled or re-indexed, which is what makes installing a new query
-against existing arrangements cheap (Fig. 1a) and per-update work track the
-delta rather than the state (Fig. 7f).  Unlike the paper's alternating-seek
-cursors, probing a cached Spark partition is a scan, not a log-time seek; see
-DESIGN.md §2.3.
+(``B(r) = B(r-1) + dB``, so the two terms expand ``(A + dA)(B + dB) − AB``;
+§5.3.1 reads each trace as of the previous time the same way).  The views are
+those of :meth:`~repro.core.collection.Reader.snap`: at a query's install
+round both deltas are the §4.3 imports and ``A(r-1)`` is empty, so the
+histories are joined once.  ``B(r)`` is read as the union of B's trace
+batches, not consolidated: by bilinearity, joining a delta against the union
+is the sum of its joins against each batch, so no batch is merged or copied
+for a read.  Deltas are explicitly broadcast: this is the Spark rendition of
+the paper's "move the (small) update batch to the pre-sharded arranged state"
+— the arranged side is never re-shuffled or re-indexed, which is what makes
+installing a new query against existing arrangements cheap (Fig. 1a) and
+per-update work track the delta rather than the state (Fig. 7f).  Unlike the
+paper's alternating-seek cursors, probing a cached Spark partition is a scan,
+not a log-time seek; see DESIGN.md §2.3.
 
 A cross join (``on=([], [])``) gives the scalar-comparison idiom used by
 TPC-H Q11/Q15/Q22: when the scalar side changes, bilinearity retracts and
@@ -86,19 +88,13 @@ class JoinNode(Stream):
                 )
                 terms.append(t.select(*out, (F.col(_DL) * F.col(_MR)).alias(DIFF_COL)))
         if dr is not None:
-            sl = self.left.snap(round_)
+            sl = self.left.snap(round_ - 1)
             if sl is not None:
                 t = self._join(
                     sl.withColumnRenamed(MULT_COL, _ML),
                     F.broadcast(dr.withColumnRenamed(DIFF_COL, _DR).drop(T_COL)),
                 )
                 terms.append(t.select(*out, (F.col(_ML) * F.col(_DR)).alias(DIFF_COL)))
-        if dl is not None and dr is not None:
-            t = self._join(
-                F.broadcast(dl.withColumnRenamed(DIFF_COL, _DL).drop(T_COL)),
-                dr.withColumnRenamed(DIFF_COL, _DR).drop(T_COL),
-            )
-            terms.append(t.select(*out, (-F.col(_DL) * F.col(_DR)).alias(DIFF_COL)))
         if not terms:
             return None
         delta = terms[0]

@@ -1,22 +1,22 @@
 """The group/reduce operator with a shared output arrangement (§5.3.2).
 
-Per round, the operator identifies the keys touched by its input delta,
-semi-joins exactly those keys out of the input arrangement's batches,
+Per round, :class:`ReduceNode` identifies the keys touched by its input
+delta, semi-joins exactly those keys out of the input arrangement's batches,
 consolidates that subset (the batches are not consolidated with each other),
-applies the reduction, and subtracts the previously produced output (read
-from its own **output arrangement**) to emit corrective updates —
-retraction/assertion pairs as negative/positive diffs.
+applies the reduction, and subtracts the previously produced output — read
+from its own **output arrangement** as ``snap(r - 1)`` — to emit corrective
+updates: retraction/assertion pairs as negative/positive diffs.
 
 The output arrangement serves double duty, as in the paper: it lets the
 operator diff against its prior output without re-invoking user logic over
-history, and it makes the reduce's result itself an arranged collection
-(:class:`ReduceNode` implements :class:`~repro.core.collection.Reader`), so a
-downstream join can consume the reduction's index directly — the
-group-then-join idiom §5.3.2 calls out.  It is an ordinary private
-arrangement in the query's :class:`~repro.core.store.ArrangementStore`: the
-operator's corrections are its source stream, its reader's frontier
-advances every round so it compacts like any other arrangement, and it is
-released when the query retires its reader.
+history, and it *is* the reduce's result: ``QueryContext.reduce`` returns
+its :class:`~repro.core.store.ArrangementReader`, so a downstream join
+consumes the reduction's index directly — the group-then-join idiom §5.3.2
+calls out.  It is an ordinary private arrangement in the query's
+:class:`~repro.core.store.ArrangementStore` whose source stream is the
+:class:`ReduceNode`: its reader's frontier advances every round so it
+compacts like any other arrangement, and it is released when the query
+retires its reader.
 
 Aggregate helpers weight by multiplicity, and floating-point aggregates are
 rounded (4 dp) *inside the operator* so that a later retraction reproduces
@@ -25,17 +25,13 @@ same rounding.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame, functions as F
 
-from repro.core.arrange import Arrangement
 from repro.core.collection import Reader, Stream
 from repro.core.trace import DIFF_COL, MULT_COL, T_COL, net_mult
-
-if TYPE_CHECKING:
-    from repro.core.dataflow import QueryContext
 
 _GROUP = "__g"
 
@@ -135,19 +131,25 @@ class PandasAgg:
         return out.drop(_GROUP) if not key_cols else out
 
 
-class _Corrections(Stream):
-    """A reduce's output updates per round, as a lazy plan: the reduction of
-    the keys the input delta touched, minus their output as of the previous
-    round (read from ``output``, the arrangement these updates are sealed
-    into).  Sealing materializes them, cutting their lineage to the old
-    output batches they reference."""
+class ReduceNode(Stream):
+    """Stateful group/reduce over an arranged input: its output updates per
+    round, as a lazy plan — the reduction of the keys the input delta
+    touched, minus their output as of the previous round.
+
+    The reduce's result is ``output``, the reader of the private arrangement
+    these updates are sealed into (set by
+    :meth:`~repro.core.dataflow.QueryContext.reduce`); the old output is
+    read through it as ``output.snap(r - 1)``.  Sealing materializes the
+    updates, cutting their lineage to the old output batches they
+    reference.
+    """
 
     def __init__(self, in_reader: Reader, key_cols: Sequence[str], agg) -> None:
         super().__init__(list(key_cols) + list(agg.out_cols))
         self.in_reader = in_reader
         self.key_cols = list(key_cols)
         self.agg = agg
-        self.output: Optional[Arrangement] = None
+        self.output: Optional[Reader] = None
 
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
         din = self.in_reader.delta(round_)
@@ -164,7 +166,7 @@ class _Corrections(Stream):
             # with a positive multiplicity; the input batches only sum to that.
             new_out = self.agg.apply(net_mult(cur, self.in_reader.data_cols), keys)
         # The old output needs no consolidation: the delta's groupBy sums it.
-        old = self.output.snapshot(round_ - 1)
+        old = self.output.snap(round_ - 1)
         if old is not None and changed is not None:
             old = old.join(changed, keys, "left_semi")
         terms: List[DataFrame] = []
@@ -186,34 +188,3 @@ class _Corrections(Stream):
             .withColumn(T_COL, F.lit(round_))
         )
 
-
-class ReduceNode(Stream, Reader):
-    """Stateful group/reduce over an arranged input; output is arranged.
-
-    The output is the query's private arrangement ``name`` of the
-    corrections; its sealed batches are this node's deltas.
-    """
-
-    def __init__(
-        self, ctx: "QueryContext", in_reader: Reader, key_cols: Sequence[str], agg, name: str
-    ) -> None:
-        corrections = _Corrections(in_reader, key_cols, agg)
-        self.out = ctx.arrange(corrections, key_cols, name)
-        corrections.output = self.out.node.arrangement
-        Stream.__init__(self, corrections.data_cols)
-        self.key_cols = list(key_cols)  # Reader protocol: output index key
-
-    def _compute_delta(self, round_: int) -> Optional[DataFrame]:
-        return self.out.delta(round_)
-
-    # -- Reader protocol: downstream joins may consume the output index ------
-    # ReduceNode is both a Stream and a Reader; the *Reader* wrappers must
-    # win for filter/rename/map_data so `reduce(...).filter(...)` keeps
-    # index access (§5.1 filter-as-wrapper) instead of degrading to a stream.
-    filter = Reader.filter
-    rename = Reader.rename
-    map_data = Reader.map_data
-
-    def snap(self, round_: int) -> Optional[DataFrame]:
-        self.delta(round_)
-        return self.out.snap(round_)

@@ -6,12 +6,14 @@ seals its source stream's delta into the wrapped
 (mid-query) collections and of reduce outputs are all such nodes, created,
 advanced every round and released the same way.
 :class:`ArrangementReader` is the per-query import of an arrangement and its
-trace handle (§4.3's ``import``): on its first pull it emits the
-arrangement's batches themselves, stamped with the current round — so a
-freshly installed query immediately reflects all prior events, with no
-consolidation or data movement — and normal per-round deltas afterwards,
-advancing its frontier so the arrangement may compact what no reader
-distinguishes.
+trace handle (§4.3's ``import``), and a
+:class:`~repro.core.collection.Reader`: a stream whose memoized deltas are,
+on its first pull, the arrangement's batches themselves, stamped with the
+current round — so a freshly installed query immediately reflects all prior
+events, with no consolidation or data movement — and the newest sealed batch
+afterwards, advancing its frontier so the arrangement may compact what no
+reader distinguishes.  Its ``snap`` is the arrangement's trace as of a
+round, and empty before the import round.
 
 A node created at round ``r`` starts empty and its first ``advance(r)``
 seals everything its source has up to ``r``: a derived collection's delta at
@@ -78,39 +80,46 @@ class ArrangeNode:
 class ArrangementReader(Reader):
     """One query's view of an arrangement: its import node and trace handle.
 
-    ``frontier`` is the handle's frontier (§4.3): this reader no longer
-    distinguishes times before it, so the arrangement may compact them once
-    every reader agrees.
+    Its first delta is the §4.3 import; ``import_round`` is that round, and
+    its view (:meth:`snap`) is empty before it.  ``frontier`` is the
+    handle's frontier (§4.3): this reader no longer distinguishes times
+    before it, so the arrangement may compact them once every reader agrees.
     """
 
     def __init__(self, node: ArrangeNode) -> None:
-        self.node = node
         arrangement = node.arrangement
+        super().__init__(arrangement.data_cols)
+        self.key_cols = list(arrangement.key_cols)
+        self.node = node
         self.frontier: int = arrangement.trace.compaction_frontier
         arrangement.readers.append(self)
-        self.data_cols = list(arrangement.data_cols)
-        self.key_cols = list(arrangement.key_cols)
-        self._imported = False
-        self._import_memo: Tuple[int, Optional[DataFrame]] | None = None
+        self.import_round: Optional[int] = None
+
+    @property
+    def _imported(self) -> bool:
+        """Whether the import happened (the benchmark's tracer reads this)."""
+        return self.import_round is not None
 
     def delta(self, round_: int) -> Optional[DataFrame]:
+        # Stream's memoized delta, defined here because the benchmark's
+        # tracer wraps the ``delta`` it finds in this class's namespace.
+        return super().delta(round_)
+
+    def _compute_delta(self, round_: int) -> Optional[DataFrame]:
         d = self.node.advance(round_)
-        if not self._imported:
+        if self.import_round is None:
             # §4.3 import: the first delta a new reader sees is the trace's
             # batches up to *and including* this round, as they are.
-            self._imported = True
+            self.import_round = round_
             ups = self.node.arrangement.trace.updates()
-            out = None if ups is None else ups.withColumn(T_COL, F.lit(round_))
-            self._import_memo = (round_, out)
-            return out
-        if self._import_memo is not None and self._import_memo[0] == round_:
-            return self._import_memo[1]
+            return None if ups is None else ups.withColumn(T_COL, F.lit(round_))
         self.frontier = max(self.frontier, round_ - 1)
         self.node.arrangement.compact()
         return d
 
     def snap(self, round_: int) -> Optional[DataFrame]:
-        self.node.advance(round_)
+        if self.import_round is None or round_ < self.import_round:
+            return None
         return self.node.arrangement.snapshot(round_)
 
     def retire(self) -> None:

@@ -27,8 +27,7 @@ Maintenance follows §4.2:
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from pyspark.sql import DataFrame, Observation, functions as F
@@ -44,8 +43,6 @@ N_SHARDS = 8
 
 #: rough per-cell byte estimate used by the fallback memory meter.
 _EST_BYTES_PER_CELL = 16
-
-_batch_ids = itertools.count()
 
 
 def materialize(df: DataFrame) -> Tuple[DataFrame, int]:
@@ -111,7 +108,6 @@ class Batch:
     lower: int
     upper: int
     rows: int
-    batch_id: int = field(default_factory=lambda: next(_batch_ids))
 
     def estimated_bytes(self) -> int:
         """Fallback size estimate: rows x columns x constant."""

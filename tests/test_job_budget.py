@@ -42,6 +42,38 @@ def test_jobs_per_step_within_budget(spark, spark_jobs):
     assert max(jobs) <= MAX_JOBS_PER_STEP, f"Spark jobs per step {jobs}"
 
 
+#: most Spark jobs installing ``a[k] ⋈ b[k]`` mid-stream over two shared
+#: arrangements that already hold two rounds may start: a broadcast of one
+#: side's import and the collect.  Measured at 2 with the join reading the
+#: other side as of the previous round, which is empty before the import;
+#: the three-term join (``dA ⋈ B(r) + A(r) ⋈ dB − dA ⋈ dB``) joined the
+#: histories three times and started 3.
+MAX_JOBS_INSTALL_JOIN = 2
+
+
+def test_install_join_jobs_within_budget(spark, spark_jobs):
+    flow = Dataflow(spark, shared=True)
+    flow.input("a", ["k", "v"])
+    flow.input("b", ["k", "w"])
+    flow.install("hold_a", lambda ctx: ctx.arranged("a", ["k"]).as_stream())
+    flow.install("hold_b", lambda ctx: ctx.arranged("b", ["k"]).as_stream())
+    for r in range(1, 3):
+        flow.feed("a", pd.DataFrame({"k": [r, r + 1], "v": [10 * r, 10 * r + 1]}))
+        flow.feed("b", pd.DataFrame({"k": [r, r + 2], "w": [100 * r, 100 * r + 2]}))
+        flow.step()
+
+    def build(ctx):
+        a = ctx.arranged("a", ["k"])
+        b = ctx.arranged("b", ["k"]).rename({"k": "k2"})
+        return ctx.join(a, b, (["k"], ["k2"]), select=["k", "v", "w"])
+
+    q, jobs = spark_jobs(lambda: flow.install("q", build))
+    assert flow.store.arrangement_count() == 2
+    assert sorted(q.result().itertuples(index=False)) == [
+        (1, 10, 100), (2, 11, 200), (2, 20, 200), (3, 21, 102)]
+    assert jobs <= MAX_JOBS_INSTALL_JOIN, f"Spark jobs of the install {jobs}"
+
+
 #: most Spark jobs ``sg_from`` (two IDB relations, ``sg`` and ``sg_t1``,
 #: after a ``tc_to`` for its magic set) may start on a depth-4 binary tree.
 #: Measured at 40 jobs with the one fixpoint loop, which fires EDB-only

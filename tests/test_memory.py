@@ -55,23 +55,30 @@ def test_estimate_zero_when_empty(spark):
     assert flow.memory_bytes() == 0
 
 
+#: a settled reading is one that held this many seconds, each read after a
+#: Python and a JVM GC; the ContextCleaner drops unreachable blocks
+#: asynchronously, so two reads that agree 50 ms apart can both precede it.
+SETTLE_S, SETTLE_MAX_S = 0.5, 10.0
+
+
 def settled_rdd_bytes(spark) -> dict:
-    """Block-manager bytes per cached RDD id, after a Python and a JVM GC,
-    read until two reads agree (the ContextCleaner drops unreachable blocks
-    asynchronously)."""
+    """Block-manager bytes per cached RDD id, read after a Python and a JVM
+    GC until the reading has held for :data:`SETTLE_S` (at most
+    :data:`SETTLE_MAX_S` in all)."""
     jsc = spark.sparkContext._jsc.sc()  # noqa: SLF001
 
     def read():
+        gc.collect()
+        spark._jvm.System.gc()  # noqa: SLF001
         return {i.id(): i.memSize() + i.diskSize() for i in jsc.getRDDStorageInfo()}
 
-    gc.collect()
-    spark._jvm.System.gc()  # noqa: SLF001
-    now, prev = read(), None
-    for _ in range(20):
-        if now == prev:
-            break
-        time.sleep(0.05)
-        now, prev = read(), now
+    start = held_since = time.monotonic()
+    now = read()
+    while time.monotonic() - held_since < SETTLE_S and time.monotonic() - start < SETTLE_MAX_S:
+        time.sleep(0.1)
+        latest = read()
+        if latest != now:
+            now, held_since = latest, time.monotonic()
     return now
 
 
