@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence  # noqa: F401
 
 from pyspark.sql import DataFrame, functions as F
 
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL
+from repro.core.trace import DIFF_COL, MULT_COL, T_COL, union_all
 
 
 class Stream:
@@ -133,10 +133,7 @@ class InputStream(Stream):
 
     def history(self) -> Optional[DataFrame]:
         """Union of every update ever fed (bootstrap source for re-indexing)."""
-        out = None
-        for d in self._rounds.values():
-            out = d if out is None else out.unionByName(d)
-        return out
+        return union_all(list(self._rounds.values()))
 
 
 class Reader(Stream):

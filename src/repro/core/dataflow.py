@@ -50,23 +50,24 @@ class _WindowedStream(Stream):
         return self.source.delta(round_)
 
 
+class NegativeMultiplicity(AssertionError):
+    """A query's output consolidated to a negative multiplicity: more
+    retractions of a record than assertions reached the sink."""
+
+
 class Sink:
     """Collects a query's output updates round by round (driver-side)."""
 
     def __init__(self, stream: Stream) -> None:
         self.stream = stream
         self.frames: List[pd.DataFrame] = []
-        #: per-round processing wall seconds, keyed by round
-        self.latencies: Dict[int, float] = {}
 
     def pull(self, round_: int) -> None:
-        t0 = _time.perf_counter()
         d = self.stream.delta(round_)
         if d is not None:
             pdf = d.toPandas()
             if len(pdf):
                 self.frames.append(pdf)
-        self.latencies[round_] = _time.perf_counter() - t0
 
     def result(self) -> pd.DataFrame:
         """Consolidated output: data rows repeated by final multiplicity."""
@@ -79,7 +80,7 @@ class Sink:
         )
         grouped = grouped[grouped[DIFF_COL] != 0]
         if (grouped[DIFF_COL] < 0).any():
-            raise AssertionError("query output consolidated to negative multiplicity")
+            raise NegativeMultiplicity("query output consolidated to negative multiplicity")
         out = grouped.loc[
             np.repeat(grouped.index.to_numpy(), grouped[DIFF_COL].to_numpy())
         ]
@@ -93,15 +94,10 @@ class Query:
     name: str
     sink: Sink
     context: "QueryContext"
-    installed_round: int
     install_secs: float = 0.0
 
     def result(self) -> pd.DataFrame:
         return self.sink.result()
-
-    def update_latencies(self) -> List[float]:
-        """Per-round processing latencies after installation (Fig. 1b)."""
-        return [s for r, s in sorted(self.sink.latencies.items()) if r > self.installed_round]
 
 
 class QueryContext:
@@ -318,7 +314,6 @@ class Dataflow:
             name=name,
             sink=sink,
             context=ctx,
-            installed_round=self.round,
             install_secs=_time.perf_counter() - t0,
         )
         self.queries[name] = q

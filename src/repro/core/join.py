@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 from pyspark.sql import DataFrame, functions as F
 
 from repro.core.collection import Reader, Stream
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL
+from repro.core.trace import DIFF_COL, MULT_COL, T_COL, union_all
 
 _DL, _DR, _ML, _MR = "__dl", "__dr", "__ml", "__mr"
 
@@ -95,9 +95,5 @@ class JoinNode(Stream):
                     F.broadcast(dr.withColumnRenamed(DIFF_COL, _DR).drop(T_COL)),
                 )
                 terms.append(t.select(*out, (F.col(_ML) * F.col(_DR)).alias(DIFF_COL)))
-        if not terms:
-            return None
-        delta = terms[0]
-        for t in terms[1:]:
-            delta = delta.unionByName(t)
-        return delta.withColumn(T_COL, F.lit(round_))
+        delta = union_all(terms)
+        return None if delta is None else delta.withColumn(T_COL, F.lit(round_))

@@ -17,7 +17,7 @@ Terminology follows the paper (§3.1, Appendix A):
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 Time = Tuple[int, ...]
 
@@ -127,8 +127,3 @@ def indistinguishable(t1: Time, t2: Time, frontier: Frontier) -> bool:
 def int_time(t: int) -> Time:
     """Wrap an integer round number as a 1-dimensional lattice time."""
     return (t,)
-
-
-def antichain_min(times: Sequence[Time]) -> Frontier:
-    """Frontier of the minimal elements of ``times`` (their lower envelope)."""
-    return Frontier(times)

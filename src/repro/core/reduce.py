@@ -5,7 +5,8 @@ delta, semi-joins exactly those keys out of the input arrangement's batches,
 consolidates that subset (the batches are not consolidated with each other),
 applies the reduction, and subtracts the previously produced output — read
 from its own **output arrangement** as ``snap(r - 1)`` — to emit corrective
-updates: retraction/assertion pairs as negative/positive diffs.
+updates: retraction/assertion pairs as negative/positive diffs, which the
+output arrangement's seal consolidates like any batch (§4.2).
 
 The output arrangement serves double duty, as in the paper: it lets the
 operator diff against its prior output without re-invoking user logic over
@@ -31,7 +32,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, functions as F
 
 from repro.core.collection import Reader, Stream
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL, net_mult
+from repro.core.trace import DIFF_COL, MULT_COL, T_COL, consolidate, union_all
 
 _GROUP = "__g"
 
@@ -139,9 +140,10 @@ class ReduceNode(Stream):
     The reduce's result is ``output``, the reader of the private arrangement
     these updates are sealed into (set by
     :meth:`~repro.core.dataflow.QueryContext.reduce`); the old output is
-    read through it as ``output.snap(r - 1)``.  Sealing materializes the
-    updates, cutting their lineage to the old output batches they
-    reference.
+    read through it as ``output.snap(r - 1)``.  The updates are not
+    consolidated here (an unchanged record is both retracted and
+    reasserted): sealing them sums and materializes them, cutting their
+    lineage to the old output batches they reference.
     """
 
     def __init__(self, in_reader: Reader, key_cols: Sequence[str], agg) -> None:
@@ -156,16 +158,22 @@ class ReduceNode(Stream):
         if din is None:
             return None
         keys = self.key_cols
-        changed = F.broadcast(din.select(*keys).distinct()) if keys else None
+        # Duplicate keys on a left-semi join's right side never duplicate
+        # its left rows, so the changed keys need no ``distinct``.
+        changed = F.broadcast(din.select(*keys)) if keys else None
         cur = self.in_reader.snap(round_)
         new_out = None
         if cur is not None:
             if changed is not None:
                 cur = cur.join(changed, keys, "left_semi")
             # distinct, min, max and pandas reducers need one row per record
-            # with a positive multiplicity; the input batches only sum to that.
-            new_out = self.agg.apply(net_mult(cur, self.in_reader.data_cols), keys)
-        # The old output needs no consolidation: the delta's groupBy sums it.
+            # with a positive multiplicity; the input batches only sum to
+            # that.  Sharding by the reduce key clusters every group the
+            # aggregation forms, so it adds no second exchange.
+            cur = consolidate(cur, self.in_reader.data_cols, keys, MULT_COL)
+            new_out = self.agg.apply(cur, keys)
+        # The old output needs no consolidation, nor does the difference:
+        # the output arrangement's seal sums both.
         old = self.output.snap(round_ - 1)
         if old is not None and changed is not None:
             old = old.join(changed, keys, "left_semi")
@@ -176,15 +184,5 @@ class ReduceNode(Stream):
             terms.append(
                 old.withColumn(DIFF_COL, -F.col(MULT_COL)).drop(MULT_COL)
             )
-        if not terms:
-            return None
-        delta = terms[0]
-        for t in terms[1:]:
-            delta = delta.unionByName(t)
-        return (
-            delta.groupBy(*self.data_cols)
-            .agg(F.sum(DIFF_COL).alias(DIFF_COL))
-            .filter(F.col(DIFF_COL) != 0)
-            .withColumn(T_COL, F.lit(round_))
-        )
-
+        delta = union_all(terms)
+        return None if delta is None else delta.withColumn(T_COL, F.lit(round_))

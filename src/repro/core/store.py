@@ -45,7 +45,7 @@ from pyspark.sql import DataFrame, functions as F
 
 from repro.core.arrange import Arrangement
 from repro.core.collection import InputStream, Reader, Stream
-from repro.core.trace import T_COL
+from repro.core.trace import T_COL, release
 
 
 class ArrangeNode:
@@ -70,10 +70,13 @@ class ArrangeNode:
         return self.arrangement.delta(round_)
 
     def destroy(self) -> None:
-        """Drop the references to the arrangement's batches (its trace's and
-        its newest delta, which no round may read after this); Spark's
-        ContextCleaner frees their blocks once no plan reaches them."""
-        self.arrangement.trace.batches.clear()
+        """Free the arrangement's batches (its trace's and its newest delta,
+        which no round may read after this) and drop the references to them."""
+        trace, (_, newest) = self.arrangement.trace, self.arrangement.newest
+        for df in [b.df for b in trace.batches] + [newest]:
+            if df is not None:
+                release(df)
+        trace.batches.clear()
         self.arrangement.newest = (-1, None)
 
 

@@ -27,6 +27,7 @@ Maintenance follows §4.2:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,7 +54,8 @@ def materialize(df: DataFrame) -> Tuple[DataFrame, int]:
     ``persist()+count()`` is not enough for an incremental engine: every round
     embeds the previous rounds' plans by value, so Catalyst analysis time
     grows without bound even though execution hits the cache.  Blocks are
-    reclaimed by the ContextCleaner once the DataFrame is unreachable.
+    reclaimed by the ContextCleaner once the DataFrame is unreachable, or at
+    once by :func:`release`.
 
     The row count is observed inside the checkpoint job itself (an
     ``Observation`` is single-use, hence a fresh one per call) instead of by a
@@ -66,15 +68,29 @@ def materialize(df: DataFrame) -> Tuple[DataFrame, int]:
     return out, obs.get["rows"]
 
 
-def consolidate(
-    df: DataFrame, group_cols: Sequence[str], key_cols: Sequence[str], out_col: str
-) -> DataFrame:
-    """Sum ``DIFF_COL`` per ``group_cols`` into ``out_col`` and drop zero
-    sums, hash-sharded by ``key_cols`` (a lazy plan; callers materialize it).
+def release(df: DataFrame) -> None:
+    """Free the blocks of a frame :func:`materialize` returned, now.
 
+    Left to Spark, the ContextCleaner frees them only after Python and then
+    the JVM have collected every plan that reaches them, so a reading of the
+    block manager taken before that still counts them.  A plan that still
+    reads them fails with Spark's ``CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND``.
+    """
+    df._jdf.queryExecution().logical().rdd().unpersist(True)  # noqa: SLF001
+
+
+def consolidate(
+    df: DataFrame, group_cols: Sequence[str], key_cols: Sequence[str], col: str = DIFF_COL
+) -> DataFrame:
+    """Sum ``col`` per ``group_cols`` in place and drop zero sums,
+    hash-sharded by ``key_cols`` (a lazy plan; callers materialize it).
+
+    This is the engine's one consolidation of multiplicities: trace seals
+    and merges sum ``DIFF_COL``, reads and reductions sum ``MULT_COL``.
     Sharding *before* grouping costs one exchange: hash partitioning on
     ``key_cols ⊆ group_cols`` already clusters every group, so Spark adds no
-    second exchange, and shard placement is exactly that of
+    second exchange — nor does a later aggregation grouped by ``key_cols``
+    — and shard placement is exactly that of
     ``repartition(N_SHARDS, *key_cols)``.  An empty key goes to a single
     shard, since ``repartition(N)`` without columns is round-robin.
     """
@@ -82,18 +98,14 @@ def consolidate(
     return (
         df.repartition(shards, *[F.col(c) for c in key_cols])
         .groupBy(*group_cols)
-        .agg(F.sum(DIFF_COL).alias(out_col))
-        .filter(F.col(out_col) != 0)
+        .agg(F.sum(col).alias(col))
+        .filter(F.col(col) != 0)
     )
 
 
-def net_mult(df: DataFrame, cols: Sequence[str]) -> DataFrame:
-    """Sum ``MULT_COL`` per ``cols`` and drop zero sums (a lazy plan)."""
-    return (
-        df.groupBy(*cols)
-        .agg(F.sum(MULT_COL).alias(MULT_COL))
-        .filter(F.col(MULT_COL) != 0)
-    )
+def union_all(frames: Sequence[DataFrame]) -> Optional[DataFrame]:
+    """``unionByName`` of ``frames`` (None if there are none; a lazy plan)."""
+    return functools.reduce(DataFrame.unionByName, frames) if frames else None
 
 
 @dataclass
@@ -215,7 +227,7 @@ class Trace:
         """
         f = self.compaction_frontier
         adj = df.withColumn(T_COL, F.greatest(F.col(T_COL), F.lit(f)))
-        return materialize(consolidate(adj, self.data_cols + [T_COL], self.key_cols, DIFF_COL))
+        return materialize(consolidate(adj, self.data_cols + [T_COL], self.key_cols))
 
     def advance_compaction_frontier(self, frontier: int) -> None:
         """Called by the arrangement when *every* reader is beyond ``frontier``.
@@ -229,13 +241,7 @@ class Trace:
 
     def updates(self) -> Optional[DataFrame]:
         """Union of all batches (the full update history, maybe compacted)."""
-        if not self.batches:
-            return None
-        dfs = [b.df for b in self.batches]
-        out = dfs[0]
-        for d in dfs[1:]:
-            out = out.unionByName(d)
-        return out
+        return union_all([b.df for b in self.batches])
 
     def accumulated(self, t: int) -> Optional[DataFrame]:
         """The collection at time ``t`` as the union of the batches:
@@ -262,7 +268,7 @@ class Trace:
         """The collection accumulated to time ``t``, consolidated:
         ``data_cols + __mult`` with one row per record and no zeros."""
         acc = self.accumulated(t)
-        return None if acc is None else net_mult(acc, self.data_cols)
+        return None if acc is None else consolidate(acc, self.data_cols, self.key_cols, MULT_COL)
 
     # -- accounting --------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_pandas_equivalent(result, sql, **tables)`` runs ``sql`` in
+DuckDB over ``tables`` and asserts the sorted rows match ``result`` (a
+pandas frame, e.g. a query's consolidated output). This catches wrong
+results from a rewritten plan or a custom operator — "it ran" is not "it
+is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
@@ -37,7 +38,7 @@ def duckdb_result(sql: str, **tables) -> pd.DataFrame:
 
 
 def assert_pandas_equivalent(result: pd.DataFrame, sql: str, **tables) -> None:
-    """Like :func:`assert_equivalent` but for a pandas result frame.
+    """Assert ``result`` equals ``sql`` run on DuckDB over ``tables``.
 
     Used to check the *accumulated* output of an incremental dataflow (which
     the engine consolidates driver-side) against DuckDB over the full inputs.
@@ -53,20 +54,3 @@ def assert_pandas_equivalent(result: pd.DataFrame, sql: str, **tables) -> None:
         _canon(result), _canon(expected), check_dtype=False
     )
 
-
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
-    con = duckdb.connect()
-    try:
-        for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
-        expected = con.execute(sql).fetchdf()
-    finally:
-        con.close()
-    got = spark_df.toPandas()
-    assert set(expected.columns) == set(got.columns), (
-        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
-        "— alias every output column identically on both sides"
-    )
-    pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
-    )

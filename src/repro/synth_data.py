@@ -8,13 +8,11 @@ This module ships **TPC-H-lite**: all eight TPC-H relations with the columns
 the reproduction's 22 query variants need.  Text columns with LIKE predicates
 in real TPC-H (p_name, o_comment, s_comment) are replaced by categorical
 equivalents (``p_color``, ``o_special``, ``s_complaint``) — the substitution
-is recorded in DESIGN.md §2.5.  ``*_pdf`` functions return pandas frames (the
-unit the streaming workload feeds round by round); same-named wrappers return
-Spark DataFrames.
+is recorded in DESIGN.md §2.5.  ``*_pdf`` functions return pandas frames, the
+unit the streaming workload feeds round by round.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -206,42 +204,6 @@ def tpch_lite(*, sf: float = 0.01, seed: int = 0) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Spark wrappers (legacy signatures preserved)
-# --------------------------------------------------------------------------
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(lineitem_pdf(sf=sf, seed=seed))
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    return spark.createDataFrame(orders_pdf(sf=sf, seed=seed))
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    return spark.createDataFrame(part_pdf(sf=sf, seed=seed))
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf=sf, seed=seed))
-
-
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
-    return spark.createDataFrame(supplier_pdf(sf=sf, seed=seed))
-
-
-def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(partsupp_pdf(sf=sf, seed=seed))
-
-
-def nation(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame(nation_pdf())
-
-
-def region(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame(region_pdf())
-
-
-# --------------------------------------------------------------------------
 # key-distribution generators (micro-benchmarks)
 # --------------------------------------------------------------------------
 
@@ -259,10 +221,3 @@ def uniform_keys_pdf(*, n: int, n_keys: int, seed: int = 4) -> pd.DataFrame:
     g = _rng(seed)
     return pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
 
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    return spark.createDataFrame(zipf_keys_pdf(n=n, n_keys=n_keys, alpha=alpha, seed=seed))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    return spark.createDataFrame(uniform_keys_pdf(n=n, n_keys=n_keys, seed=seed))

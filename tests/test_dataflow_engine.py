@@ -7,7 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.arrange import DeltaNotKept
-from repro.core.dataflow import Dataflow
+from repro.core.dataflow import Dataflow, NegativeMultiplicity
 from repro.core.reduce import PandasAgg, SqlAgg, w_count, w_min, w_sum
 from tests.test_memory import bytes_cached_since, settled_rdd_bytes
 
@@ -44,6 +44,14 @@ class TestInputsAndStateless:
         flow.feed("a", kv([(1, 10)]), diff=-1)
         flow.step()
         assert sorted_records(q.result()) == [(2, 20)]
+
+    def test_retracting_an_absent_row_is_a_named_error(self, flow):
+        q = flow.install("q", lambda ctx: ctx.stream("a"))
+        flow.feed("a", kv([(1, 10)]))
+        flow.feed("a", kv([(2, 20)]), diff=-1)
+        flow.step()
+        with pytest.raises(NegativeMultiplicity):
+            q.result()
 
     def test_filter_and_map(self, flow):
         def build(ctx):
@@ -350,6 +358,26 @@ class TestRetire:
         assert df.memory_bytes() > 0
         df.retire("q")
         assert df.memory_bytes() == 0
+
+    def test_retire_frees_blocks_before_it_returns(self, spark):
+        """The blocks are freed by ``retire`` itself, not once garbage
+        collection reaches them: here the retired query is still referenced."""
+        jsc = spark.sparkContext._jsc.sc()  # noqa: SLF001
+
+        def cached():
+            return {i.id() for i in jsc.getRDDStorageInfo()}
+
+        before = cached()
+        flow = Dataflow(spark, shared=True)
+        flow.input("a", ["k", "v"])
+        flow.install("q", lambda ctx: ctx.arranged("a", ["k"]).as_stream())
+        flow.feed("a", kv([(1, 10)]))
+        flow.step()
+        ours = cached() - before
+        assert ours
+        q = flow.retire("q")
+        assert not cached() & ours
+        assert sorted_records(q.result()) == [(1, 10)]
 
     def test_shared_state_survives_retire(self, flow):
         flow.install("q1", lambda ctx: ctx.arranged("a", ["k"]).as_stream())

@@ -59,10 +59,3 @@ class TestScaling:
         u = sd.uniform_keys_pdf(n=5000, n_keys=10, seed=2)
         assert set(u["k"]) == set(range(1, 11))
 
-
-class TestSparkWrappers:
-    def test_spark_wrappers_roundtrip(self, spark):
-        df = sd.nation(spark)
-        assert df.count() == 25
-        df2 = sd.supplier(spark, sf=0.002)
-        assert "s_complaint" in df2.columns
