@@ -4,7 +4,8 @@ A :class:`Stream` is a dataflow node producing, for each logical round ``r``,
 the DataFrame of update triples ``(data…, __t, __diff)`` that occurred at
 ``r`` (``None`` when the round is empty — the engine's fast path for
 untouched relations).  Deltas are memoized per round so shared sub-dataflows
-evaluate once.
+evaluate once.  An :class:`InputStream` owns its input's updates: it stages
+them, and logs them on the driver, so a new arrangement re-indexes live rows.
 
 A :class:`Reader` is a stream that is also arranged: besides its deltas it
 offers :meth:`Reader.snap`, the collection as that reader sees it at round
@@ -20,11 +21,12 @@ streams.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence  # noqa: F401
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from pyspark.sql import DataFrame, functions as F
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL, union_all
+from repro.core.trace import DIFF_COL, MULT_COL, T_COL, consolidate_pdf
 
 
 class Stream:
@@ -110,30 +112,55 @@ class _Concat(Stream):
 
 
 class InputStream(Stream):
-    """A dataflow input: the root of update streams (§3.1).
+    """A dataflow input (§3.1): the one owner of the updates fed to it.
 
-    The owning :class:`~repro.core.dataflow.Dataflow` stages fed updates and
-    assigns them to rounds; the full per-round history is retained so that
-    late-created arrangements (a new shared index, or every private index of
-    the unshared baseline) can bootstrap by re-indexing it — the work shared
-    arrangements exist to avoid.
-    """
+    :meth:`advance` makes the staged updates the round's one Spark frame (the
+    only delta kept) and appends them to a pandas log, re-consolidated once
+    the rows appended to it reach its consolidated rows: at most about twice
+    the live rows plus one round, which a new arrangement re-indexes."""
 
-    def __init__(self, name: str, data_cols: Sequence[str]) -> None:
+    def __init__(self, spark: SparkSession, name: str, data_cols: Sequence[str]) -> None:
         super().__init__(data_cols)
-        self.name = name
-        self._rounds: Dict[int, DataFrame] = {}
+        self.spark, self.name = spark, name
+        self._staged: List[pd.DataFrame] = []
+        self._newest: Tuple[int, Optional[DataFrame]] = (-1, None)
+        #: the frame the log last consolidated to (at first, the first round
+        #: fed), then the rounds appended since
+        self._log: List[pd.DataFrame] = []
 
-    def assign(self, round_: int, df: Optional[DataFrame]) -> None:
-        if df is not None:
-            self._rounds[round_] = df
+    def feed(self, pdf: pd.DataFrame, diff: int = 1) -> None:
+        """Stage ``pdf``'s data columns for the next round, each with ``diff``
+        (``-1`` retracts) unless ``pdf`` has a ``__diff`` column."""
+        missing = set(self.data_cols) - set(pdf.columns)
+        if missing:
+            raise ValueError(f"feed({self.name}): missing columns {sorted(missing)}")
+        if len(pdf):
+            self._staged.append(pdf[self.data_cols].assign(**{DIFF_COL: pdf.get(DIFF_COL, diff)}))
+
+    def advance(self, round_: int) -> None:
+        """Make the staged updates round ``round_``'s delta, and log them."""
+        if not self._staged:
+            return
+        pdf = pd.concat(self._staged, ignore_index=True)
+        self._staged = []
+        self._newest = (round_, self.spark.createDataFrame(pdf).withColumn(T_COL, F.lit(round_)))
+        self._log.append(pdf)
+        if sum(map(len, self._log[1:])) >= len(self._log[0]):
+            self._consolidate()
+
+    def _consolidate(self) -> None:
+        log = consolidate_pdf(pd.concat(self._log, ignore_index=True), self.data_cols)
+        self._log = [log] if len(log) else []
 
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
-        return self._rounds.get(round_)
+        return self._newest[1] if self._newest[0] == round_ else None
 
-    def history(self) -> Optional[DataFrame]:
-        """Union of every update ever fed (bootstrap source for re-indexing)."""
-        return union_all(list(self._rounds.values()))
+    def history(self, round_: int) -> Optional[DataFrame]:
+        """The live rows as one frame stamped ``round_`` (None if none)."""
+        if not self._log:
+            return None
+        self._consolidate()
+        return self.spark.createDataFrame(self._log[0]).withColumn(T_COL, F.lit(round_))
 
 
 class Reader(Stream):

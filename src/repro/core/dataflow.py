@@ -26,15 +26,14 @@ import time as _time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import SparkSession
 
 from repro.core.collection import InputStream, Reader, Stream
 from repro.core.join import JoinNode
 from repro.core.reduce import DistinctAgg, PandasAgg, ReduceNode, SqlAgg
 from repro.core.store import ArrangementReader, ArrangementStore
-from repro.core.trace import DIFF_COL, T_COL
+from repro.core.trace import DIFF_COL, consolidate_pdf
 
 
 class _WindowedStream(Stream):
@@ -74,17 +73,10 @@ class Sink:
         cols = self.stream.data_cols
         if not self.frames:
             return pd.DataFrame(columns=cols)
-        all_ = pd.concat(self.frames, ignore_index=True)
-        grouped = (
-            all_.groupby(cols, dropna=False, sort=False)[DIFF_COL].sum().reset_index()
-        )
-        grouped = grouped[grouped[DIFF_COL] != 0]
+        grouped = consolidate_pdf(pd.concat(self.frames, ignore_index=True), cols)
         if (grouped[DIFF_COL] < 0).any():
             raise NegativeMultiplicity("query output consolidated to negative multiplicity")
-        out = grouped.loc[
-            np.repeat(grouped.index.to_numpy(), grouped[DIFF_COL].to_numpy())
-        ]
-        return out[cols].reset_index(drop=True)
+        return grouped.loc[grouped.index.repeat(grouped[DIFF_COL]), cols].reset_index(drop=True)
 
 
 @dataclass
@@ -242,7 +234,6 @@ class Dataflow:
         self.inputs: Dict[str, InputStream] = {}
         self.store = ArrangementStore(shared=shared, merge_effort=merge_effort)
         self.queries: Dict[str, Query] = {}
-        self._staged: Dict[str, List[pd.DataFrame]] = {}
 
     # -- inputs ----------------------------------------------------------------
 
@@ -250,43 +241,26 @@ class Dataflow:
         """Declare an input collection (a root of the dataflow)."""
         if name in self.inputs:
             raise ValueError(f"input {name!r} already declared")
-        s = InputStream(name, data_cols)
-        self.inputs[name] = s
-        return s
+        self.inputs[name] = InputStream(self.spark, name, data_cols)
+        return self.inputs[name]
 
     def feed(self, name: str, pdf: pd.DataFrame, diff: int = 1) -> None:
-        """Stage update records for the next round.
-
-        ``pdf`` holds data columns; an optional ``__diff`` column overrides
-        the uniform ``diff`` (use ``diff=-1`` to retract existing records).
-        """
-        cols = self.inputs[name].data_cols
-        missing = set(cols) - set(pdf.columns)
-        if missing:
-            raise ValueError(f"feed({name}): missing columns {sorted(missing)}")
-        if len(pdf) == 0:
-            return
-        staged = pdf[cols].copy() if DIFF_COL not in pdf.columns else pdf[cols + [DIFF_COL]].copy()
-        if DIFF_COL not in staged.columns:
-            staged[DIFF_COL] = diff
-        self._staged.setdefault(name, []).append(staged)
+        """Stage updates for input ``name``'s next round (``InputStream.feed``)."""
+        self.inputs[name].feed(pdf, diff)
 
     # -- the clock ---------------------------------------------------------------
 
     def step(self) -> float:
         """Advance the frontier one round; returns wall seconds taken.
 
-        Staged feeds become this round's input deltas; every live query's
+        Each input's staged feeds become its delta (untimed); every live query's
         sink pulls, and every arrangement ingests (shared ones once, private
         ones per owner — the redundant maintenance the unshared baseline pays).
         """
         self.round += 1
         r = self.round
-        for name, frames in self._staged.items():
-            pdf = pd.concat(frames, ignore_index=True)
-            sdf = self.spark.createDataFrame(pdf).withColumn(T_COL, F.lit(r))
-            self.inputs[name].assign(r, sdf)
-        self._staged.clear()
+        for s in self.inputs.values():
+            s.advance(r)
         t0 = _time.perf_counter()
         for q in self.queries.values():
             q.sink.pull(r)
@@ -301,7 +275,7 @@ class Dataflow:
         Returns the query with ``install_secs`` — the paper's installation
         latency (Fig. 1a).  With sharing, attaching to existing arrangements
         moves no data; without, the builder's ``arranged`` calls re-index
-        accumulated history.
+        the inputs' live rows.
         """
         if name in self.queries:
             raise ValueError(f"query {name!r} already installed")

@@ -18,15 +18,16 @@ round, and empty before the import round.
 A node created at round ``r`` starts empty and its first ``advance(r)``
 seals everything its source has up to ``r``: a derived collection's delta at
 its install round is already the import of the arrangements it reads, and an
-input arrangement is sealed from the input's history when it is created,
-because only the input keeps its past.
+input arrangement is sealed from the input's live rows, stamped with the
+creation round (no reader imports earlier), because only the input keeps
+its past.
 
 :class:`ArrangementStore` decides whether input arrangements are shared:
 
 * ``shared=True`` — one arrangement per ``(input, key)``; later queries attach
   via a new reader with **no data movement** (the paper's system).
 * ``shared=False`` — every request builds a *private* arrangement by
-  re-indexing the input's accumulated history (shuffle + cache), and each
+  re-indexing the input's consolidated log (shuffle + cache), and each
   private copy is redundantly maintained every round.  This is the "not
   shared" baseline of Fig. 1, representative of stream processors whose
   operator state is private.
@@ -35,7 +36,7 @@ Arrangements of derived collections and reduce outputs are always private to
 their query.  In both modes an arrangement is released when its last reader
 retires (§4.3): a workload that wants one to outlive its queries keeps a
 reader on it, and a later request for a released ``(input, key)`` re-indexes
-the input's history like any new arrangement.
+the input's log like any new arrangement.
 """
 from __future__ import annotations
 
@@ -154,7 +155,7 @@ class ArrangementStore:
 
         Shared mode reuses (or creates) the ``(input, key)`` arrangement;
         unshared mode always builds a private copy, named after ``query``.
-        A new arrangement re-indexes the input's history as one batch up to
+        A new arrangement re-indexes the input's live rows as one batch at
         ``round_``: this is the install-time cost shared arrangements avoid.
         """
         key = (input_stream.name, tuple(key_cols))
@@ -164,7 +165,7 @@ class ArrangementStore:
         node = self._node(
             input_stream, key_cols, f"{input_stream.name}[{','.join(key_cols)}]{suffix}"
         )
-        node.arrangement.ingest(round_, input_stream.history())
+        node.arrangement.ingest(round_, input_stream.history(round_))
         if self.shared:
             self._by_key[key] = node
         return ArrangementReader(node)

@@ -31,6 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import pandas as pd
 from pyspark.sql import DataFrame, Observation, functions as F
 
 #: reserved metadata column names on update DataFrames
@@ -101,6 +102,12 @@ def consolidate(
         .agg(F.sum(col).alias(col))
         .filter(F.col(col) != 0)
     )
+
+
+def consolidate_pdf(pdf: pd.DataFrame, cols: Sequence[str]) -> pd.DataFrame:
+    """:func:`consolidate` on the driver: sum ``DIFF_COL`` per ``cols``, drop zeros."""
+    out = pdf.groupby(list(cols), dropna=False, sort=False)[DIFF_COL].sum().reset_index()
+    return out[out[DIFF_COL] != 0].reset_index(drop=True)
 
 
 def union_all(frames: Sequence[DataFrame]) -> Optional[DataFrame]:

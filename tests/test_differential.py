@@ -5,7 +5,11 @@ Random insert/retract streams over two inputs feed one dataflow in which
 each query shape is installed at its own random round (so most are
 installed mid-stream through the §4.3 import), in shared and unshared mode.
 ``hold`` keeps readers on ``a[k]`` and ``b[k]`` from round 0, so in shared
-mode late queries attach to arrangements that already hold history.
+mode late queries attach to arrangements that already hold history.  Each
+shape, ``hold`` included, is also retired at its own random round and, if
+rounds remain, installed again under a new name: a retire releases every
+arrangement left without a reader, and the new install re-indexes a
+released ``(input, key)`` from the input's log.
 """
 from collections import Counter
 from typing import Callable, Dict, Tuple
@@ -72,6 +76,9 @@ BUILDERS: Dict[str, Callable] = {
     "count_then_join": _count_then_join,
 }
 
+#: every query the harness installs, by shape (``hold``'s output is not checked)
+SHAPES: Dict[str, Callable] = {"hold": _hold, **BUILDERS}
+
 
 def _expected(name: str, a: Counter, b: Counter) -> Counter:
     """The query's output multiset, recomputed from the live inputs."""
@@ -137,25 +144,35 @@ def _apply(flow: Dataflow, name: str, live: Counter, ups) -> None:
 @given(
     stream=st.lists(st.tuples(updates, updates), min_size=ROUNDS, max_size=ROUNDS),
     install=st.fixed_dictionaries({name: st.integers(0, ROUNDS - 1) for name in BUILDERS}),
+    retire=st.fixed_dictionaries({name: st.integers(1, ROUNDS) for name in SHAPES}),
 )
-def test_every_round_matches_recomputation(spark, shared, stream, install):
+def test_every_round_matches_recomputation(spark, shared, stream, install, retire):
     flow = Dataflow(spark, shared=shared)
     flow.input("a", ["k", "v"])
     flow.input("b", ["k", "w"])
-    flow.install("hold", _hold)
+    queries = {"hold": flow.install("hold", _hold)}
     a, b = Counter(), Counter()
-    queries = {}
 
     def check(when: Tuple[int, str]) -> None:
         for name, q in queries.items():
-            want = +_expected(name, +a, +b)
-            assert _records(q.result()) == want, (when, name)
+            if name in BUILDERS:
+                want = +_expected(name, +a, +b)
+                assert _records(q.result()) == want, (when, name)
 
-    for r, (ups_a, ups_b) in enumerate(stream):
+    for r in range(ROUNDS + 1):
+        for name, at in retire.items():
+            if at == r and name in queries:
+                flow.retire(queries.pop(name).name)
+                assert all(n.arrangement.reader_count() for n in flow.store.nodes), (r, name)
+                if r < ROUNDS:
+                    queries[name] = flow.install(f"{name}@{r}", SHAPES[name])
+        if r == ROUNDS:
+            break
         for name, at in install.items():
             if at == r:
                 queries[name] = flow.install(name, BUILDERS[name])
         check((r, "install"))
+        ups_a, ups_b = stream[r]
         _apply(flow, "a", a, ups_a)
         _apply(flow, "b", b, ups_b)
         flow.step()

@@ -11,7 +11,6 @@ from pyspark.sql import functions as F
 
 from repro.core import iterate
 from repro.core.iterate import NoFixpoint, fixpoint_min, semi_naive
-from repro.core.memory import spark_cached_bytes
 from repro.datalog.queries import build_indexes, sg_from, sg_full, tc_from, tc_full, tc_to
 from repro.graphs import baselines
 from repro.graphs.gen import tree_graph
@@ -41,13 +40,20 @@ def sssp(spark, e, source):
 
 class TestIndexOwnership:
     def test_unpersisted_index_frees_its_blocks(self, spark):
-        # settled: blocks earlier tests left unreachable must not be freed
-        # by the ContextCleaner in the middle of this test
-        before = sum(settled_rdd_bytes(spark).values())
+        # Measured by the index's own RDD ids, not by total bytes: the
+        # ContextCleaner may free blocks that earlier tests left unreachable
+        # in the middle of this test.
+        jsc = spark.sparkContext._jsc.sc()  # noqa: SLF001
+
+        def cached():
+            return {i.id() for i in jsc.getRDDStorageInfo()}
+
+        before = settled_rdd_bytes(spark)
         idx = build_indexes(spark, tree_graph(5, 2))
-        assert spark_cached_bytes(spark) > before
+        ours = cached() - set(before)
+        assert ours
         idx["e"].unpersist(blocking=True)
-        assert spark_cached_bytes(spark) <= before
+        assert not cached() & ours
 
     def test_evaluator_releases_only_its_own_indexes(self, spark):
         tree = tree_graph(3, 2)

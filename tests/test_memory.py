@@ -3,6 +3,7 @@ import gc
 import time
 
 import pandas as pd
+import pytest
 from pyspark.sql import functions as F
 
 from repro.core.dataflow import Dataflow
@@ -23,6 +24,10 @@ MAX_COPIES = 1.25
 #: compacted grew by 100 rows a round.
 MAX_TRACE_ROWS_PER_LIVE_ROW = 8
 CHURN_KEYS, CHURN_ROUNDS = 50, 40
+
+#: the input-log test's live rows, and the rows it inserts (and as many it
+#: retracts) in each of its rounds after the first
+LOG_LIVE, LOG_CHURN, LOG_ROUNDS = 200, 10, 101
 
 
 def test_spark_cached_bytes_reflects_arrangement_state(spark):
@@ -135,3 +140,34 @@ def test_state_stays_bounded_under_churn(spark):
         live = a.trace.read_at(a.current_time).count()
         assert a.trace.total_rows() <= MAX_TRACE_ROWS_PER_LIVE_ROW * live, (
             name, a.trace.total_rows(), live)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_input_log_keeps_live_rows(spark, shared):
+    """Under churn with no query live, an input's log stays within twice its
+    live rows plus one round, its history is one frame of the live rows
+    (one plan leaf, not one per round fed), and an arrangement built at the
+    last round re-indexes exactly those rows."""
+    flow = Dataflow(spark, shared=shared)
+    a = flow.input("a", ["k", "v"])
+    live = pd.DataFrame({"k": range(LOG_LIVE), "v": range(LOG_LIVE)})
+    flow.feed("a", live)
+    flow.step()
+    for r in range(2, LOG_ROUNDS + 1):
+        added = pd.DataFrame({"k": range(r * LOG_LIVE, r * LOG_LIVE + LOG_CHURN), "v": r})
+        flow.feed("a", live.iloc[:LOG_CHURN], diff=-1)
+        flow.feed("a", added)
+        live = pd.concat([live.iloc[LOG_CHURN:], added], ignore_index=True)
+        flow.step()
+        assert sum(map(len, a._log)) <= 2 * LOG_LIVE + 2 * LOG_CHURN, r
+
+    want = sorted(live.itertuples(index=False))
+    history = a.history(LOG_ROUNDS)
+    assert sorted(history.select("k", "v").collect()) == want
+    assert {tuple(x) for x in history.select(T_COL, DIFF_COL).distinct().collect()} == {
+        (LOG_ROUNDS, 1)
+    }
+    assert history._jdf.queryExecution().analyzed().collectLeaves().size() == 1
+
+    q = flow.install("q", lambda ctx: ctx.arranged("a", ["k"]).as_stream())
+    assert sorted(q.result().itertuples(index=False)) == want
