@@ -7,8 +7,8 @@ Layering (bottom → top):
 * ``arrange``    — the arrange operator and ``Arrangement``.
 * ``store``      — the sharing registry (shared vs. per-query private state),
   the readers that are the arrangements' trace handles, and their release.
-* ``collection`` — streams of update triples, readers (streams that are
-  also arranged) and stateless operators.
+* ``collection`` — streams of ``(data…, __diff)`` updates, readers (streams
+  that are also arranged) and stateless operators.
 * ``join``/``reduce`` — arrangement-aware stateful operators.
 * ``iterate``    — the semi-naive fixpoint loop and static indexes.
 * ``dataflow``   — query wiring, rounds, install/retire of live queries.

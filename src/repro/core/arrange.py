@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from pyspark.sql import DataFrame
 
 # ``materialize`` stays bound here: the benchmark's tracer patches it by name.
-from repro.core.trace import Trace, materialize  # noqa: F401
+from repro.core.trace import DIFF_COL, Trace, materialize  # noqa: F401
 
 if TYPE_CHECKING:
     from repro.core.store import ArrangementReader
@@ -39,7 +39,7 @@ class Arrangement:
     """Single-writer, multiple-reader maintained index over a collection.
 
     The owner (an arrangement node in a dataflow) calls :meth:`ingest` once
-    per logical round with that round's update triples; its ``readers`` read
+    per logical round with that round's updates; its ``readers`` read
     :meth:`snapshot` and the newest round's :meth:`delta`.
     """
 
@@ -57,14 +57,18 @@ class Arrangement:
         self.key_cols = list(key_cols)
         self.trace = Trace(data_cols, key_cols, merge_effort=merge_effort)
         self.readers: List["ArrangementReader"] = []
-        #: the newest sealed round and its batch (None if it was empty)
+        #: the newest sealed round and its batch as sealed (None if it was
+        #: empty); a release frees it
         self.newest: Tuple[int, Optional[DataFrame]] = (-1, None)
+        #: that batch as ``data_cols + __diff``, which :meth:`delta` returns:
+        #: projected once per round, not once per read
+        self.newest_delta: Optional[DataFrame] = None
 
     # -- writer API ---------------------------------------------------------
 
     def ingest(self, round_: int, updates: Optional[DataFrame]) -> Optional[DataFrame]:
-        """Seal ``updates`` (times up to ``round_``) as the batch that
-        advances the arrangement to ``round_``.
+        """Seal ``updates`` (``data_cols + __diff``) as the batch that
+        advances the arrangement to ``round_``, stamped ``round_``.
 
         Returns the sealed (materialized) batch DataFrame, or None if the
         round was empty.  Sealing materializes the delta, cutting its lineage
@@ -73,27 +77,30 @@ class Arrangement:
         if round_ <= self.current_time:
             raise ValueError(f"arrangement {self.name} already ingested round {round_}")
         batch = self.trace.seal(updates, upper=round_ + 1)
-        self.newest = (round_, batch.df if batch is not None else None)
-        return self.newest[1]
+        df = None if batch is None else batch.df
+        self.newest = (round_, df)
+        self.newest_delta = None if df is None else df.select(*self.data_cols, DIFF_COL)
+        return df
 
     # -- reader API ---------------------------------------------------------
 
     def snapshot(self, round_: int) -> Optional[DataFrame]:
         """The collection at ``round_`` as the union of the trace batches
-        (``data_cols + __mult``, not consolidated; see
+        (``data_cols + __diff``, not consolidated; see
         :meth:`~repro.core.trace.Trace.accumulated`).  A lazy plan: reading
         starts no Spark job."""
         return self.trace.accumulated(round_)
 
     def delta(self, round_: int) -> Optional[DataFrame]:
-        """The updates ingested at ``round_``, the newest round (None if
-        empty); older rounds are folded into the trace."""
-        newest, df = self.newest
+        """The updates ingested at ``round_``, the newest round, as
+        ``data_cols + __diff`` (None if empty); older rounds are folded into
+        the trace."""
+        newest = self.newest[0]
         if round_ != newest:
             raise DeltaNotKept(
                 f"arrangement {self.name} keeps the delta of round {newest}, not {round_}"
             )
-        return df
+        return self.newest_delta
 
     @property
     def current_time(self) -> int:

@@ -1,15 +1,18 @@
-"""Collections as streams of update triples, and their stateless operators.
+"""Collections as streams of updates, and their stateless operators.
 
 A :class:`Stream` is a dataflow node producing, for each logical round ``r``,
-the DataFrame of update triples ``(data…, __t, __diff)`` that occurred at
-``r`` (``None`` when the round is empty — the engine's fast path for
-untouched relations).  Deltas are memoized per round so shared sub-dataflows
-evaluate once.  An :class:`InputStream` owns its input's updates: it stages
-them, and logs them on the driver, so a new arrangement re-indexes live rows.
+the DataFrame of updates ``(data…, __diff)`` that occurred at ``r`` (``None``
+when the round is empty — the engine's fast path for untouched relations).
+Like a Timely batch at its capability, a delta's time is the round it was
+asked for, so no frame between operators carries one: times live only in
+trace batches, stamped by :meth:`~repro.core.trace.Trace.seal`.  Deltas are
+memoized per round so shared sub-dataflows evaluate once.  An
+:class:`InputStream` owns its input's updates: it stages them, and logs them
+on the driver, so a new arrangement re-indexes live rows.
 
 A :class:`Reader` is a stream that is also arranged: besides its deltas it
 offers :meth:`Reader.snap`, the collection as that reader sees it at round
-``r`` (``data… + __mult`` rows whose multiplicities sum per record, not
+``r`` (``data… + __diff`` rows whose multiplicities sum per record, not
 consolidated), backed by a shared or private
 :class:`~repro.core.arrange.Arrangement`.  Operators that need an input's
 prior state read it one way, as ``snap(r - 1)``.  Key-preserving stateless
@@ -26,18 +29,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL, consolidate_pdf
+from repro.core.trace import DIFF_COL, consolidate_pdf, union_all
 
 
 class Stream:
-    """Base dataflow node: a per-round stream of update triples."""
+    """Base dataflow node: a per-round stream of ``data… + __diff`` updates."""
 
     def __init__(self, data_cols: Sequence[str]) -> None:
         self.data_cols = list(data_cols)
         self._memo: Dict[int, Optional[DataFrame]] = {}
 
     def delta(self, round_: int) -> Optional[DataFrame]:
-        """This node's update triples for round ``round_`` (memoized)."""
+        """This node's updates for round ``round_`` (memoized)."""
         if round_ not in self._memo:
             self._memo[round_] = self._compute_delta(round_)
             for r in [r for r in self._memo if r < round_ - 1]:
@@ -47,27 +50,23 @@ class Stream:
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
         raise NotImplementedError
 
-    # -- stateless operators (streams of update triples, §5.1–5.2) ---------
+    # -- stateless operators (streams of updates, §5.1–5.2) ----------------
 
     def map(self, fn: Callable[[DataFrame], DataFrame], data_cols: Sequence[str]) -> "Stream":
-        """Key-altering record transform; ``fn`` must preserve __t/__diff."""
+        """Key-altering record transform; ``fn`` must preserve __diff."""
         return _Mapped(self, fn, data_cols)
 
     def filter(self, cond) -> "Stream":
         """Filter by a Column predicate (or SQL string) over data columns."""
-        return _Filtered(self, cond)
+        return self.map(lambda df: df.filter(cond), self.data_cols)
 
     def select(self, *cols: str) -> "Stream":
         """Project to a subset of data columns (consolidation is deferred)."""
-        return self.map(lambda df: df.select(*cols, T_COL, DIFF_COL), list(cols))
+        return self.map(lambda df: df.select(*cols, DIFF_COL), list(cols))
 
     def negate(self) -> "Stream":
         """Negate all diffs (with :meth:`concat`, gives anti-join/except)."""
-        return _Mapped(
-            self,
-            lambda df: df.withColumn(DIFF_COL, -F.col(DIFF_COL)),
-            self.data_cols,
-        )
+        return self.map(lambda df: df.withColumn(DIFF_COL, -F.col(DIFF_COL)), self.data_cols)
 
     def concat(self, other: "Stream") -> "Stream":
         """Multiset union of two streams with identical data columns."""
@@ -79,19 +78,11 @@ class _Mapped(Stream):
         super().__init__(data_cols)
         self.source, self.fn = source, fn
 
-    def _compute_delta(self, round_: int) -> Optional[DataFrame]:
-        d = self.source.delta(round_)
-        return None if d is None else self.fn(d).select(*self.data_cols, T_COL, DIFF_COL)
-
-
-class _Filtered(Stream):
-    def __init__(self, source: Stream, cond) -> None:
-        super().__init__(source.data_cols)
-        self.source, self.cond = source, cond
+    def _apply(self, df: Optional[DataFrame]) -> Optional[DataFrame]:
+        return None if df is None else self.fn(df).select(*self.data_cols, DIFF_COL)
 
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
-        d = self.source.delta(round_)
-        return None if d is None else d.filter(self.cond)
+        return self._apply(self.source.delta(round_))
 
 
 class _Concat(Stream):
@@ -102,13 +93,8 @@ class _Concat(Stream):
         self.a, self.b = a, b
 
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
-        cols = self.data_cols + [T_COL, DIFF_COL]
-        da, db = self.a.delta(round_), self.b.delta(round_)
-        if da is None:
-            return None if db is None else db.select(*cols)
-        if db is None:
-            return da.select(*cols)
-        return da.select(*cols).unionByName(db.select(*cols))
+        sides = [s.delta(round_) for s in (self.a, self.b)]
+        return union_all([d.select(*self.data_cols, DIFF_COL) for d in sides if d is not None])
 
 
 class InputStream(Stream):
@@ -143,7 +129,7 @@ class InputStream(Stream):
             return
         pdf = pd.concat(self._staged, ignore_index=True)
         self._staged = []
-        self._newest = (round_, self.spark.createDataFrame(pdf).withColumn(T_COL, F.lit(round_)))
+        self._newest = (round_, self.spark.createDataFrame(pdf))
         self._log.append(pdf)
         if sum(map(len, self._log[1:])) >= len(self._log[0]):
             self._consolidate()
@@ -155,12 +141,12 @@ class InputStream(Stream):
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
         return self._newest[1] if self._newest[0] == round_ else None
 
-    def history(self, round_: int) -> Optional[DataFrame]:
-        """The live rows as one frame stamped ``round_`` (None if none)."""
+    def history(self) -> Optional[DataFrame]:
+        """The live rows as one frame (None if none)."""
         if not self._log:
             return None
         self._consolidate()
-        return self.spark.createDataFrame(self._log[0]).withColumn(T_COL, F.lit(round_))
+        return self.spark.createDataFrame(self._log[0])
 
 
 class Reader(Stream):
@@ -168,11 +154,12 @@ class Reader(Stream):
     trace handle (§4.3).
 
     :meth:`snap` is the collection as *this reader* sees it at round ``r``:
-    ``data… + __mult`` rows whose multiplicities sum per record (not
+    ``data… + __diff`` rows whose multiplicities sum per record (not
     consolidated).  The view is empty before the reader's import round (its
-    first delta), and the import delta is the whole trace, so the deltas a
-    reader emits always sum to its view.  ``snap`` never advances the
-    arrangement: pull ``delta(r)`` before reading ``snap`` at ``r``.
+    first delta), and the import delta is its view at the import round, so
+    the deltas a reader emits always sum to its view.  ``snap`` never
+    advances the arrangement: pull ``delta(r)`` before reading ``snap`` at
+    ``r``.
     ``key_cols`` is the arrangement's index key.
     """
 
@@ -210,8 +197,8 @@ class Reader(Stream):
         )
 
     def as_stream(self) -> Stream:
-        """Demote to a stream of update triples (drops index access)."""
-        return _Mapped(self, lambda df: df, self.data_cols)
+        """Demote to a plain stream of updates (drops index access)."""
+        return self.map(lambda df: df, self.data_cols)
 
 
 class _MappedReader(_Mapped, Reader):
@@ -226,5 +213,4 @@ class _MappedReader(_Mapped, Reader):
         self.key_cols = list(key_cols)
 
     def snap(self, round_: int) -> Optional[DataFrame]:
-        s = self.source.snap(round_)
-        return None if s is None else self.fn(s).select(*self.data_cols, MULT_COL)
+        return self._apply(self.source.snap(round_))

@@ -50,9 +50,6 @@ class StaticIndex:
         self.rows = self.df.count()
         self.build_secs = _time.perf_counter() - t0
 
-    def estimated_bytes(self) -> int:
-        return self.rows * len(self.df.columns) * 16
-
     def unpersist(self) -> None:
         self.df.unpersist(blocking=False)
 

@@ -32,9 +32,9 @@ from typing import List, Optional, Sequence, Tuple
 from pyspark.sql import DataFrame, functions as F
 
 from repro.core.collection import Reader, Stream
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL, union_all
+from repro.core.trace import DIFF_COL, union_all
 
-_DL, _DR, _ML, _MR = "__dl", "__dr", "__ml", "__mr"
+_DL, _DR = "__dl", "__dr"
 
 
 class JoinNode(Stream):
@@ -69,31 +69,22 @@ class JoinNode(Stream):
         return [F.col(a) == F.col(b) for a, b in zip(self.left_on, self.right_on)]
 
     def _join(self, l: DataFrame, r: DataFrame) -> DataFrame:
+        """``l ⋈ r`` whose ``__diff`` is the product of the sides' ``__diff``."""
         cond = self._cond()
-        return l.crossJoin(r) if cond is None else l.join(r, cond, "inner")
+        l, r = l.withColumnRenamed(DIFF_COL, _DL), r.withColumnRenamed(DIFF_COL, _DR)
+        joined = l.crossJoin(r) if cond is None else l.join(r, cond, "inner")
+        return joined.select(*self.data_cols, (F.col(_DL) * F.col(_DR)).alias(DIFF_COL))
 
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
-        dl = self.left.delta(round_)
-        dr = self.right.delta(round_)
-        if dl is None and dr is None:
-            return None
+        # both deltas first: a reader's view at r needs its delta at r pulled
+        dl, dr = self.left.delta(round_), self.right.delta(round_)
         terms: List[DataFrame] = []
-        out = self.data_cols
         if dl is not None:
             sr = self.right.snap(round_)
             if sr is not None:
-                t = self._join(
-                    F.broadcast(dl.withColumnRenamed(DIFF_COL, _DL).drop(T_COL)),
-                    sr.withColumnRenamed(MULT_COL, _MR),
-                )
-                terms.append(t.select(*out, (F.col(_DL) * F.col(_MR)).alias(DIFF_COL)))
+                terms.append(self._join(F.broadcast(dl), sr))
         if dr is not None:
             sl = self.left.snap(round_ - 1)
             if sl is not None:
-                t = self._join(
-                    sl.withColumnRenamed(MULT_COL, _ML),
-                    F.broadcast(dr.withColumnRenamed(DIFF_COL, _DR).drop(T_COL)),
-                )
-                terms.append(t.select(*out, (F.col(_ML) * F.col(_DR)).alias(DIFF_COL)))
-        delta = union_all(terms)
-        return None if delta is None else delta.withColumn(T_COL, F.lit(round_))
+                terms.append(self._join(sl, F.broadcast(dr)))
+        return union_all(terms)

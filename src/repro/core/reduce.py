@@ -32,7 +32,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, functions as F
 
 from repro.core.collection import Reader, Stream
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL, consolidate, union_all
+from repro.core.trace import DIFF_COL, consolidate, union_all
 
 _GROUP = "__g"
 
@@ -42,17 +42,17 @@ AGG_ROUND = 4
 
 def w_sum(col) -> Column:
     """Multiplicity-weighted SUM, rounded for deterministic retraction."""
-    return F.round(F.sum(_c(col) * F.col(MULT_COL)), AGG_ROUND)
+    return F.round(F.sum(_c(col) * F.col(DIFF_COL)), AGG_ROUND)
 
 
 def w_count() -> Column:
     """Multiplicity-weighted COUNT(*) (i.e. the multiset cardinality)."""
-    return F.sum(F.col(MULT_COL))
+    return F.sum(F.col(DIFF_COL))
 
 
 def w_avg(col) -> Column:
     """Multiplicity-weighted AVG, rounded like :func:`w_sum`."""
-    return F.round(F.sum(_c(col) * F.col(MULT_COL)) / F.sum(F.col(MULT_COL)), AGG_ROUND)
+    return F.round(F.sum(_c(col) * F.col(DIFF_COL)) / F.sum(F.col(DIFF_COL)), AGG_ROUND)
 
 
 def w_min(col) -> Column:
@@ -95,16 +95,17 @@ class DistinctAgg(SqlAgg):
         super().__init__([], [])
 
     def apply(self, cur: DataFrame, key_cols: Sequence[str]) -> DataFrame:
-        return cur.filter(F.col(MULT_COL) > 0).select(*key_cols).distinct()
+        return cur.filter(F.col(DIFF_COL) > 0).select(*key_cols).distinct()
 
 
 class PandasAgg:
     """Arbitrary per-group reduction via ``applyInPandas`` (the paper's
     user-supplied reduction function from key + values to output values).
 
-    ``fn`` receives the group's rows (data columns + ``__mult``) and returns a
-    DataFrame of output columns (no key columns); ``out_schema`` is the Spark
-    schema snippet for those output columns, e.g. ``"revenue double"``.
+    ``fn`` receives the group's rows (data columns + ``__diff``, one row per
+    record with its multiplicity) and returns a DataFrame of output columns
+    (no key columns); ``out_schema`` is the Spark schema snippet for those
+    output columns, e.g. ``"revenue double"``.
     """
 
     def __init__(self, fn: Callable[[pd.DataFrame], pd.DataFrame], out_schema: str, out_cols: Sequence[str]) -> None:
@@ -170,7 +171,7 @@ class ReduceNode(Stream):
             # with a positive multiplicity; the input batches only sum to
             # that.  Sharding by the reduce key clusters every group the
             # aggregation forms, so it adds no second exchange.
-            cur = consolidate(cur, self.in_reader.data_cols, keys, MULT_COL)
+            cur = consolidate(cur, self.in_reader.data_cols, keys)
             new_out = self.agg.apply(cur, keys)
         # The old output needs no consolidation, nor does the difference:
         # the output arrangement's seal sums both.
@@ -181,8 +182,5 @@ class ReduceNode(Stream):
         if new_out is not None:
             terms.append(new_out.withColumn(DIFF_COL, F.lit(1)))
         if old is not None:
-            terms.append(
-                old.withColumn(DIFF_COL, -F.col(MULT_COL)).drop(MULT_COL)
-            )
-        delta = union_all(terms)
-        return None if delta is None else delta.withColumn(T_COL, F.lit(round_))
+            terms.append(old.withColumn(DIFF_COL, -F.col(DIFF_COL)))
+        return union_all(terms)

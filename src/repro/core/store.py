@@ -8,9 +8,9 @@ advanced every round and released the same way.
 :class:`ArrangementReader` is the per-query import of an arrangement and its
 trace handle (§4.3's ``import``), and a
 :class:`~repro.core.collection.Reader`: a stream whose memoized deltas are,
-on its first pull, the arrangement's batches themselves, stamped with the
-current round — so a freshly installed query immediately reflects all prior
-events, with no consolidation or data movement — and the newest sealed batch
+on its first pull, its view at that round — the union of the arrangement's
+batches, so a freshly installed query immediately reflects all prior events,
+with no consolidation or data movement — and the newest sealed batch
 afterwards, advancing its frontier so the arrangement may compact what no
 reader distinguishes.  Its ``snap`` is the arrangement's trace as of a
 round, and empty before the import round.
@@ -18,9 +18,8 @@ round, and empty before the import round.
 A node created at round ``r`` starts empty and its first ``advance(r)``
 seals everything its source has up to ``r``: a derived collection's delta at
 its install round is already the import of the arrangements it reads, and an
-input arrangement is sealed from the input's live rows, stamped with the
-creation round (no reader imports earlier), because only the input keeps
-its past.
+input arrangement is sealed from the input's live rows at the creation round
+(no reader imports earlier), because only the input keeps its past.
 
 :class:`ArrangementStore` decides whether input arrangements are shared:
 
@@ -42,11 +41,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.arrange import Arrangement
 from repro.core.collection import InputStream, Reader, Stream
-from repro.core.trace import T_COL, release
+from repro.core.trace import release
 
 
 class ArrangeNode:
@@ -78,7 +77,7 @@ class ArrangeNode:
             if df is not None:
                 release(df)
         trace.batches.clear()
-        self.arrangement.newest = (-1, None)
+        self.arrangement.newest, self.arrangement.newest_delta = (-1, None), None
 
 
 class ArrangementReader(Reader):
@@ -112,11 +111,10 @@ class ArrangementReader(Reader):
     def _compute_delta(self, round_: int) -> Optional[DataFrame]:
         d = self.node.advance(round_)
         if self.import_round is None:
-            # §4.3 import: the first delta a new reader sees is the trace's
-            # batches up to *and including* this round, as they are.
+            # §4.3 import: the first delta a new reader sees is its view at
+            # this round, the trace's batches as they are.
             self.import_round = round_
-            ups = self.node.arrangement.trace.updates()
-            return None if ups is None else ups.withColumn(T_COL, F.lit(round_))
+            return self.snap(round_)
         self.frontier = max(self.frontier, round_ - 1)
         self.node.arrangement.compact()
         return d
@@ -165,7 +163,7 @@ class ArrangementStore:
         node = self._node(
             input_stream, key_cols, f"{input_stream.name}[{','.join(key_cols)}]{suffix}"
         )
-        node.arrangement.ingest(round_, input_stream.history(round_))
+        node.arrangement.ingest(round_, input_stream.history())
         if self.shared:
             self._by_key[key] = node
         return ArrangementReader(node)

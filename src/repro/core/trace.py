@@ -34,10 +34,11 @@ from typing import List, Optional, Sequence, Tuple
 import pandas as pd
 from pyspark.sql import DataFrame, Observation, functions as F
 
-#: reserved metadata column names on update DataFrames
+#: reserved metadata column names: every frame between operators is
+#: ``data… + DIFF_COL``; only trace batches carry ``T_COL``, stamped by
+#: :meth:`Trace.seal`.
 T_COL = "__t"
 DIFF_COL = "__diff"
-MULT_COL = "__mult"
 
 #: number of hash shards each arrangement is partitioned into (the analogue
 #: of the paper's per-worker shards; local[*] executes them in parallel).
@@ -80,27 +81,25 @@ def release(df: DataFrame) -> None:
     df._jdf.queryExecution().logical().rdd().unpersist(True)  # noqa: SLF001
 
 
-def consolidate(
-    df: DataFrame, group_cols: Sequence[str], key_cols: Sequence[str], col: str = DIFF_COL
-) -> DataFrame:
-    """Sum ``col`` per ``group_cols`` in place and drop zero sums,
-    hash-sharded by ``key_cols`` (a lazy plan; callers materialize it).
+def consolidate(df: DataFrame, group_cols: Sequence[str], key_cols: Sequence[str]) -> DataFrame:
+    """Sum ``DIFF_COL`` per ``group_cols`` and drop zero sums, hash-sharded
+    by ``key_cols`` (a lazy plan; callers materialize it).
 
     This is the engine's one consolidation of multiplicities: trace seals
-    and merges sum ``DIFF_COL``, reads and reductions sum ``MULT_COL``.
-    Sharding *before* grouping costs one exchange: hash partitioning on
-    ``key_cols ⊆ group_cols`` already clusters every group, so Spark adds no
-    second exchange — nor does a later aggregation grouped by ``key_cols``
-    — and shard placement is exactly that of
-    ``repartition(N_SHARDS, *key_cols)``.  An empty key goes to a single
-    shard, since ``repartition(N)`` without columns is round-robin.
+    and merges, reads and reductions all use it.  Sharding *before*
+    grouping costs one exchange: hash partitioning on ``key_cols ⊆
+    group_cols`` already clusters every group, so Spark adds no second
+    exchange — nor does a later aggregation grouped by ``key_cols`` — and
+    shard placement is exactly that of ``repartition(N_SHARDS,
+    *key_cols)``.  An empty key goes to a single shard, since
+    ``repartition(N)`` without columns is round-robin.
     """
     shards = N_SHARDS if key_cols else 1
     return (
         df.repartition(shards, *[F.col(c) for c in key_cols])
         .groupBy(*group_cols)
-        .agg(F.sum(col).alias(col))
-        .filter(F.col(col) != 0)
+        .agg(F.sum(DIFF_COL).alias(DIFF_COL))
+        .filter(F.col(DIFF_COL) != 0)
     )
 
 
@@ -166,19 +165,22 @@ class Trace:
     # -- writing -----------------------------------------------------------
 
     def seal(self, updates: Optional[DataFrame], upper: int) -> Optional[Batch]:
-        """Seal all updates for times in ``[self.upper, upper)`` as a batch.
+        """Seal the updates for times in ``[self.upper, upper)`` as a batch.
 
-        ``updates`` must already carry ``T_COL``/``DIFF_COL``; ``None`` means
-        the interval is empty (the trace still advances its upper frontier,
-        exactly like an empty batch in the paper).  Returns the new batch.
+        ``updates`` are ``data_cols + DIFF_COL`` rows; the batch stamps them
+        ``T_COL = upper - 1``, the interval's one distinguishable time (every
+        caller seals one round, or, creating a trace at round ``r``, all of
+        ``[0, r + 1)`` at ``r``).  ``None`` means the interval is empty (the
+        trace still advances its upper frontier, exactly like an empty batch
+        in the paper).  Returns the new batch.
         """
         if upper <= self.upper:
             raise ValueError(f"trace upper {self.upper} cannot regress to {upper}")
         lower, self.upper = self.upper, upper
         if updates is None:
             return None
-        cols = self.data_cols + [T_COL, DIFF_COL]
-        df, rows = self._consolidate(updates.select(*cols))
+        stamped = updates.select(*self.data_cols, F.lit(upper - 1).alias(T_COL), DIFF_COL)
+        df, rows = self._consolidate(stamped)
         if rows == 0:
             return None
         batch = Batch(df=df, lower=lower, upper=upper, rows=rows)
@@ -252,7 +254,7 @@ class Trace:
 
     def accumulated(self, t: int) -> Optional[DataFrame]:
         """The collection at time ``t`` as the union of the batches:
-        ``data_cols + __mult`` rows, *not* consolidated.
+        ``data_cols + DIFF_COL`` rows, *not* consolidated.
 
         A record may sit in several batches, negated in some; its rows sum
         to its multiplicity.  Bilinear operators such as join read this
@@ -269,13 +271,13 @@ class Trace:
             return None
         if t < self.upper - 1:
             ups = ups.filter(F.col(T_COL) <= t)
-        return ups.select(*self.data_cols, F.col(DIFF_COL).alias(MULT_COL))
+        return ups.select(*self.data_cols, DIFF_COL)
 
     def read_at(self, t: int) -> Optional[DataFrame]:
         """The collection accumulated to time ``t``, consolidated:
-        ``data_cols + __mult`` with one row per record and no zeros."""
+        ``data_cols + DIFF_COL`` with one row per record and no zeros."""
         acc = self.accumulated(t)
-        return None if acc is None else consolidate(acc, self.data_cols, self.key_cols, MULT_COL)
+        return None if acc is None else consolidate(acc, self.data_cols, self.key_cols)
 
     # -- accounting --------------------------------------------------------
 

@@ -17,7 +17,6 @@ relation is its own frame.  All recursive relations reach a joint fixpoint
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -25,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core.iterate import Relations, StaticIndex, fixpoint
+from repro.core.trace import union_all
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class Evaluator:
         for rel in sorted(self.idb):
             cands = [df for r in rules if r.head == rel for df in self._fire(r, totals, deltas)]
             if cands:
-                out[rel] = functools.reduce(DataFrame.unionByName, cands).distinct()
+                out[rel] = union_all(cands).distinct()
         return out
 
     def run(self, seeds: Optional[Dict[str, DataFrame]] = None) -> Dict[str, DataFrame]:

@@ -110,11 +110,11 @@ class GraphQuerySession:
 
         # candidate path lengths
         len1 = f1.filter(F.col("dst") == F.col("pt")).map(
-            lambda df: df.select("qid", "__t", "__diff").withColumn("len", F.lit(1)),
+            lambda df: df.select("qid", "__diff").withColumn("len", F.lit(1)),
             ["qid", "len"],
         )
         len2 = f2r.filter(F.col("fn2") == F.col("pt")).map(
-            lambda df: df.select("qid", "__t", "__diff").withColumn("len", F.lit(2)),
+            lambda df: df.select("qid", "__diff").withColumn("len", F.lit(2)),
             ["qid", "len"],
         )
         # forward-2 meets backward-1 → length 3
@@ -134,7 +134,7 @@ class GraphQuerySession:
         ).map(lambda df: df.withColumn("len", F.lit(4)), ["qid", "len"])
         # degenerate 0-hop (ps == pt)
         len0 = args.as_stream().filter(F.col("ps") == F.col("pt")).map(
-            lambda df: df.select("qid", "__t", "__diff").withColumn("len", F.lit(0)),
+            lambda df: df.select("qid", "__diff").withColumn("len", F.lit(0)),
             ["qid", "len"],
         )
         cands = len0.concat(len1).concat(len2).concat(len3).concat(len4)

@@ -50,7 +50,7 @@ def _top_k(n: int, by: List[str], ascending: List[bool], cols: List[str]):
     """Deterministic top-k reduction (ties broken by the trailing sort keys)."""
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        ex = pdf.loc[pdf.index.repeat(pdf["__mult"])]
+        ex = pdf.loc[pdf.index.repeat(pdf["__diff"])]
         return ex.sort_values(by, ascending=ascending, kind="mergesort").head(n)[cols]
 
     return fn
@@ -140,7 +140,7 @@ def q02(ctx: QueryContext) -> Stream:
         psp, min_cost, (["ps_partkey"], ["mc_partkey"]),
         select=["ps_partkey", "ps_suppkey", "ps_supplycost", "min_cost"],
     ).filter(F.col("ps_supplycost") == F.col("min_cost")).map(
-        lambda df: df.select("ps_partkey", "ps_suppkey", "ps_supplycost", "__t", "__diff"),
+        lambda df: df.select("ps_partkey", "ps_suppkey", "ps_supplycost", "__diff"),
         ["ps_partkey", "ps_suppkey", "ps_supplycost"],
     )
 
@@ -618,8 +618,8 @@ def q12(ctx: QueryContext) -> Stream:
         lo, ["l_shipmode"],
         SqlAgg(
             [
-                F.sum(high * F.col("__mult")).alias("high_line_count"),
-                F.sum(low * F.col("__mult")).alias("low_line_count"),
+                F.sum(high * F.col("__diff")).alias("high_line_count"),
+                F.sum(low * F.col("__diff")).alias("low_line_count"),
             ],
             ["high_line_count", "low_line_count"],
         ),
@@ -656,7 +656,7 @@ def q13(ctx: QueryContext) -> Stream:
         cust, cnt, (["c_custkey"], ["o_custkey"]), select=["c_custkey", "c_count"]
     )
     without = ctx.anti_join(cust, cnt, (["c_custkey"], ["o_custkey"])).map(
-        lambda df: df.select("c_custkey", "__t", "__diff").withColumn("c_count", F.lit(0)),
+        lambda df: df.select("c_custkey", "__diff").withColumn("c_count", F.lit(0)),
         ["c_custkey", "c_count"],
     )
     return ctx.reduce(
@@ -725,7 +725,7 @@ def q15(ctx: QueryContext) -> Stream:
         F.col("total_revenue") == F.col("max_rev")
     ).map(
         lambda df: df.select(
-            F.col("l_suppkey").alias("s_suppkey"), "total_revenue", "__t", "__diff"
+            F.col("l_suppkey").alias("s_suppkey"), "total_revenue", "__diff"
         ),
         ["s_suppkey", "total_revenue"],
     )
@@ -796,7 +796,7 @@ def q17(ctx: QueryContext) -> Stream:
     thresh = ctx.reduce(
         lp_arr, ["p_partkey"],
         SqlAgg(
-            [F.round(0.2 * F.sum(F.col("l_quantity") * F.col("__mult")) / F.sum("__mult"), 4).alias("qty_thresh")],
+            [F.round(0.2 * F.sum(F.col("l_quantity") * F.col("__diff")) / F.sum("__diff"), 4).alias("qty_thresh")],
             ["qty_thresh"],
         ),
     ).rename({"p_partkey": "t_partkey"})
@@ -955,7 +955,7 @@ def q21(ctx: QueryContext) -> Stream:
     ).select("l_orderkey", "l_suppkey")
     lall = ctx.stream("lineitem").map(
         lambda df: df.select(
-            F.col("l_orderkey").alias("o2"), F.col("l_suppkey").alias("s2"), "__t", "__diff"
+            F.col("l_orderkey").alias("o2"), F.col("l_suppkey").alias("s2"), "__diff"
         ),
         ["o2", "s2"],
     )
@@ -963,7 +963,7 @@ def q21(ctx: QueryContext) -> Stream:
         F.col("l_receiptdate") > F.col("l_commitdate")
     ).map(
         lambda df: df.select(
-            F.col("l_orderkey").alias("o3"), F.col("l_suppkey").alias("s3"), "__t", "__diff"
+            F.col("l_orderkey").alias("o3"), F.col("l_suppkey").alias("s3"), "__diff"
         ),
         ["o3", "s3"],
     )
@@ -992,7 +992,7 @@ def q21(ctx: QueryContext) -> Stream:
         waiting.select("l_suppkey"), ["l_suppkey"],
         SqlAgg([w_count().alias("numwait")], ["numwait"]),
     ).as_stream().map(
-        lambda df: df.select(F.col("l_suppkey").alias("s_suppkey"), "numwait", "__t", "__diff"),
+        lambda df: df.select(F.col("l_suppkey").alias("s_suppkey"), "numwait", "__diff"),
         ["s_suppkey", "numwait"],
     )
 

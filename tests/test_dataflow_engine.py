@@ -174,7 +174,7 @@ class TestReduce:
 
     def test_pandas_agg_topk(self, flow):
         def top2(pdf):
-            expanded = pdf.loc[pdf.index.repeat(pdf["__mult"])]
+            expanded = pdf.loc[pdf.index.repeat(pdf["__diff"])]
             return expanded.nlargest(2, "v")[["k", "v"]].rename(
                 columns={"k": "kk", "v": "vv"}
             )

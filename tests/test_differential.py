@@ -10,6 +10,9 @@ shape, ``hold`` included, is also retired at its own random round and, if
 rounds remain, installed again under a new name: a retire releases every
 arrangement left without a reader, and the new install re-indexes a
 released ``(input, key)`` from the input's log.
+
+Every round also checks the one update format: each sink frame and each
+reader's ``snap`` has exactly its data columns and ``__diff``.
 """
 from collections import Counter
 from typing import Callable, Dict, Tuple
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 from pyspark.sql import functions as F
 
-from repro.core.dataflow import Dataflow
+from repro.core.dataflow import Dataflow, Query
 from repro.core.reduce import SqlAgg, w_count, w_min, w_sum
 
 ROUNDS = 4
@@ -64,6 +67,20 @@ def _count_then_join(ctx):
     return ctx.join(n, _b(ctx), (["k"], ["kb"]), select=["k", "n", "w"])
 
 
+def _swapped_join(ctx):
+    """A key-altering ``map`` (swap ``k`` and ``v``), arranged by the join."""
+    swapped = _a(ctx).map(
+        lambda df: df.select(F.col("v").alias("k"), F.col("k").alias("v"), "__diff"), ["k", "v"]
+    )
+    return ctx.join(swapped, _b(ctx), (["k"], ["kb"]), select=["k", "v", "w"])
+
+
+def _concat_negate(ctx):
+    """``a + b − b[w ≥ 1]``: the concat's sides change in different rounds."""
+    bv = ctx.arranged("b", ["k"]).rename({"w": "v"})
+    return _a(ctx).concat(bv).concat(bv.filter(F.col("v") >= 1).negate())
+
+
 #: query builders by name
 BUILDERS: Dict[str, Callable] = {
     "join": _ab,
@@ -74,6 +91,16 @@ BUILDERS: Dict[str, Callable] = {
     "min": lambda ctx: ctx.reduce(_ab(ctx), ["k"], SqlAgg([w_min("v").alias("mn")], ["mn"])),
     "wrappers": _wrappers,
     "count_then_join": _count_then_join,
+    "map": _swapped_join,
+    "select": lambda ctx: ctx.reduce(
+        _a(ctx).select("v"), ["v"], SqlAgg([w_count().alias("n")], ["n"])
+    ),
+    "concat": _concat_negate,
+    # a windowed input sees only the updates fed after its install, so it
+    # may see a retraction of an older row: its output is checked signed
+    "window": lambda ctx: ctx.join(
+        ctx.stream("a"), _b(ctx), (["k"], ["kb"]), select=["k", "v", "w"]
+    ),
 }
 
 #: every query the harness installs, by shape (``hold``'s output is not checked)
@@ -90,7 +117,7 @@ def _expected(name: str, a: Counter, b: Counter) -> Counter:
     groups: Dict[int, list] = {}
     for (k, v, w), m in ab.items():
         groups.setdefault(k, []).append((v, w, m))
-    if name == "join":
+    if name in ("join", "window"):
         return ab
     keys_b = {k for k, _ in b}
     if name == "semi":
@@ -111,11 +138,33 @@ def _expected(name: str, a: Counter, b: Counter) -> Counter:
         for (k, _), m in a.items():
             counts[k] += m
         return Counter({(k, counts[k], w): n for (k, w), n in b.items() if counts[k] > 0})
+    if name == "map":
+        return _expected("join", Counter({(v, k): m for (k, v), m in a.items()}), b)
+    if name == "select":
+        counts = Counter()
+        for (_, v), m in a.items():
+            counts[v] += m
+        return Counter({(v, n): 1 for v, n in counts.items() if n > 0})
+    if name == "concat":
+        return a + Counter({(k, w): n for (k, w), n in b.items() if w < 1})
     raise KeyError(name)
 
 
 def _records(pdf: pd.DataFrame) -> Counter:
     return Counter(map(tuple, pdf.to_numpy().tolist()))
+
+
+def _nonzero(c: Counter) -> Counter:
+    return Counter({r: m for r, m in c.items() if m})
+
+
+def _signed(q) -> Counter:
+    """A query's output with signed multiplicities: its sink frames summed."""
+    out = Counter()
+    for pdf in q.sink.frames:
+        for *row, d in pdf.to_numpy().tolist():
+            out[tuple(row)] += d
+    return _nonzero(out)
 
 
 def _apply(flow: Dataflow, name: str, live: Counter, ups) -> None:
@@ -150,14 +199,32 @@ def test_every_round_matches_recomputation(spark, shared, stream, install, retir
     flow = Dataflow(spark, shared=shared)
     flow.input("a", ["k", "v"])
     flow.input("b", ["k", "w"])
-    queries = {"hold": flow.install("hold", _hold)}
     a, b = Counter(), Counter()
+    queries: Dict[str, Query] = {}
+    #: ``a`` as each query's install saw it
+    a_at_install: Dict[str, Counter] = {}
+
+    def deploy(name: str, query: str) -> None:
+        queries[name] = flow.install(query, SHAPES[name])
+        a_at_install[name] = Counter(a)
 
     def check(when: Tuple[int, str]) -> None:
         for name, q in queries.items():
-            if name in BUILDERS:
+            frame = q.sink.stream.data_cols + ["__diff"]
+            assert all(list(pdf.columns) == frame for pdf in q.sink.frames), (when, name)
+            for reader in q.context.readers:
+                view = reader.snap(flow.round)
+                assert view is None or view.columns == reader.data_cols + ["__diff"], (
+                    when, name, reader.node.arrangement.name)
+            if name == "window":
+                fed = Counter(a)
+                fed.subtract(a_at_install[name])
+                assert _signed(q) == _nonzero(_expected(name, fed, +b)), (when, name)
+            elif name in BUILDERS:
                 want = +_expected(name, +a, +b)
                 assert _records(q.result()) == want, (when, name)
+
+    deploy("hold", "hold")
 
     for r in range(ROUNDS + 1):
         for name, at in retire.items():
@@ -165,12 +232,12 @@ def test_every_round_matches_recomputation(spark, shared, stream, install, retir
                 flow.retire(queries.pop(name).name)
                 assert all(n.arrangement.reader_count() for n in flow.store.nodes), (r, name)
                 if r < ROUNDS:
-                    queries[name] = flow.install(f"{name}@{r}", SHAPES[name])
+                    deploy(name, f"{name}@{r}")
         if r == ROUNDS:
             break
         for name, at in install.items():
             if at == r:
-                queries[name] = flow.install(name, BUILDERS[name])
+                deploy(name, name)
         check((r, "install"))
         ups_a, ups_b = stream[r]
         _apply(flow, "a", a, ups_a)

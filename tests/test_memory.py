@@ -147,7 +147,7 @@ def test_input_log_keeps_live_rows(spark, shared):
     """Under churn with no query live, an input's log stays within twice its
     live rows plus one round, its history is one frame of the live rows
     (one plan leaf, not one per round fed), and an arrangement built at the
-    last round re-indexes exactly those rows."""
+    last round re-indexes exactly those rows, as one batch at that round."""
     flow = Dataflow(spark, shared=shared)
     a = flow.input("a", ["k", "v"])
     live = pd.DataFrame({"k": range(LOG_LIVE), "v": range(LOG_LIVE)})
@@ -162,12 +162,13 @@ def test_input_log_keeps_live_rows(spark, shared):
         assert sum(map(len, a._log)) <= 2 * LOG_LIVE + 2 * LOG_CHURN, r
 
     want = sorted(live.itertuples(index=False))
-    history = a.history(LOG_ROUNDS)
+    history = a.history()
     assert sorted(history.select("k", "v").collect()) == want
-    assert {tuple(x) for x in history.select(T_COL, DIFF_COL).distinct().collect()} == {
-        (LOG_ROUNDS, 1)
-    }
+    assert {tuple(x) for x in history.select(DIFF_COL).distinct().collect()} == {(1,)}
     assert history._jdf.queryExecution().analyzed().collectLeaves().size() == 1
 
     q = flow.install("q", lambda ctx: ctx.arranged("a", ["k"]).as_stream())
     assert sorted(q.result().itertuples(index=False)) == want
+    [node] = flow.store.nodes
+    sealed = node.arrangement.trace.updates().select(T_COL, DIFF_COL).distinct().collect()
+    assert {tuple(x) for x in sealed} == {(LOG_ROUNDS, 1)}
