@@ -3,9 +3,11 @@
 An :class:`Arrangement` *is* its collection :class:`~repro.core.trace.Trace`:
 a few immutable batches of update triples, each hash-partitioned by the
 arrangement key — the paper's LSM layers (§4.1–4.2).  Each round the
-operator seals that round's updates as one batch; amortized merges keep the
-batch count logarithmic.  Operators read the arrangement as the union of its
-batches (:meth:`Arrangement.snapshot`), which is not consolidated: joins are
+operator seals that round's updates as one batch, folding in the batches
+due for an amortized merge, so it materializes once a round and keeps the
+batch count logarithmic; the round's delta is the new rows of that batch.
+Operators read the arrangement as the union of its batches
+(:meth:`Arrangement.snapshot`), which is not consolidated: joins are
 bilinear and distribute over it, and reductions consolidate only the keys
 they recompute.  So per-round work and memory track the batch, not the
 accumulated state, and each piece of state is kept once.
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, functions as F
 
 # ``materialize`` stays bound here: the benchmark's tracer patches it by name.
-from repro.core.trace import DIFF_COL, Trace, materialize  # noqa: F401
+from repro.core.trace import DIFF_COL, T_COL, Trace, materialize  # noqa: F401
 
 if TYPE_CHECKING:
     from repro.core.store import ArrangementReader
@@ -57,12 +59,10 @@ class Arrangement:
         self.key_cols = list(key_cols)
         self.trace = Trace(data_cols, key_cols, merge_effort=merge_effort)
         self.readers: List["ArrangementReader"] = []
-        #: the newest sealed round and its batch as sealed (None if it was
-        #: empty); a release frees it
+        #: the newest sealed round and its delta as ``data_cols + __diff``
+        #: (None if it was empty), which :meth:`delta` returns: filtered
+        #: from the sealed batch once per round, not once per read
         self.newest: Tuple[int, Optional[DataFrame]] = (-1, None)
-        #: that batch as ``data_cols + __diff``, which :meth:`delta` returns:
-        #: projected once per round, not once per read
-        self.newest_delta: Optional[DataFrame] = None
 
     # -- writer API ---------------------------------------------------------
 
@@ -70,17 +70,19 @@ class Arrangement:
         """Seal ``updates`` (``data_cols + __diff``) as the batch that
         advances the arrangement to ``round_``, stamped ``round_``.
 
-        Returns the sealed (materialized) batch DataFrame, or None if the
-        round was empty.  Sealing materializes the delta, cutting its lineage
-        to the upstream state it lazily references.
+        Returns the round's delta, the rows of the sealed batch stamped
+        ``round_`` (None if the updates cancelled out).  Sealing materializes
+        the delta, cutting its lineage to the upstream state it lazily
+        references; the batch's other rows are the ones the seal folded in.
         """
         if round_ <= self.current_time:
             raise ValueError(f"arrangement {self.name} already ingested round {round_}")
         batch = self.trace.seal(updates, upper=round_ + 1)
-        df = None if batch is None else batch.df
-        self.newest = (round_, df)
-        self.newest_delta = None if df is None else df.select(*self.data_cols, DIFF_COL)
-        return df
+        delta = None if batch is None else (
+            batch.df.filter(F.col(T_COL) == round_).select(*self.data_cols, DIFF_COL)
+        )
+        self.newest = (round_, delta)
+        return delta
 
     # -- reader API ---------------------------------------------------------
 
@@ -95,12 +97,12 @@ class Arrangement:
         """The updates ingested at ``round_``, the newest round, as
         ``data_cols + __diff`` (None if empty); older rounds are folded into
         the trace."""
-        newest = self.newest[0]
+        newest, delta = self.newest
         if round_ != newest:
             raise DeltaNotKept(
                 f"arrangement {self.name} keeps the delta of round {newest}, not {round_}"
             )
-        return self.newest_delta
+        return delta
 
     @property
     def current_time(self) -> int:

@@ -70,14 +70,14 @@ class ArrangeNode:
         return self.arrangement.delta(round_)
 
     def destroy(self) -> None:
-        """Free the arrangement's batches (its trace's and its newest delta,
-        which no round may read after this) and drop the references to them."""
-        trace, (_, newest) = self.arrangement.trace, self.arrangement.newest
-        for df in [b.df for b in trace.batches] + [newest]:
-            if df is not None:
-                release(df)
+        """Free the arrangement's batches (its newest delta, which no round
+        may read after this, is a view of the last) and drop the references
+        to them."""
+        trace = self.arrangement.trace
+        for b in trace.batches:
+            release(b.df)
         trace.batches.clear()
-        self.arrangement.newest, self.arrangement.newest_delta = (-1, None), None
+        self.arrangement.newest = (-1, None)
 
 
 class ArrangementReader(Reader):

@@ -8,22 +8,30 @@ collection at any time ``t`` as the accumulation of the ``(data, diff)`` with
 Here a trace is a list of :class:`Batch` objects.  Each batch wraps an
 immutable, cached Spark DataFrame whose rows are update triples with times
 beyond the batch's ``lower`` frontier and not beyond its ``upper`` frontier;
-consecutive batches tile logical time.  The Spark engine's fast path uses
+the batches' intervals are ordered and disjoint (:class:`BatchIntervalsBroken`
+otherwise).  The Spark engine's fast path uses
 totally ordered integer rounds (1-d lattice times); the general
 partial-order math lives in :mod:`repro.core.lattice` and is exercised by the
 pure-Python reference trace in :mod:`repro.core.pytrace`.
 
 Maintenance follows §4.2:
 
-* **Amortized merging** — batches are merged size-tiered (a merge fires when
-  the newest batch in a tier has grown to a constant fraction of its
-  neighbour), so the trace holds logarithmically many batches and no single
-  insert triggers work more than proportional to a merge step.  The
-  ``merge_effort`` knob reproduces the eager/default/lazy study of Fig. 7e.
+* **Amortized merging** — batches are merged size-tiered, so the trace holds
+  logarithmically many batches and no single insert triggers work more than
+  proportional to a merge step.  A merge costs no materialization of its
+  own: :meth:`Trace.seal` folds the batches that are due into the round's
+  new batch and materializes the two together once, so every seal is one
+  Spark job whether or not it merges.  A batch is due by the size-tier rule
+  applied to the batches as they stand before the seal, so a merge happens
+  one seal later than it would right after an append.  The
+  ``merge_effort`` knob reproduces the eager/default/lazy study of Fig. 7e:
+  ``eager`` folds every batch into each seal, ``default`` the newest run of
+  batches that has grown to half of its neighbour, ``lazy`` only the
+  batches beyond 32.
 * **Consolidation** — when the trace's compaction frontier advances (because
-  every reader advanced its handle), merges map each update time ``t`` to
-  its Appendix-A representative ``rep_F(t)``; updates at indistinguishable
-  times coalesce and cancelled updates vanish.
+  every reader advanced its handle), a fold maps each folded update time
+  ``t`` to its Appendix-A representative ``rep_F(t)``; updates at
+  indistinguishable times coalesce and cancelled updates vanish.
 """
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import pandas as pd
-from pyspark.sql import DataFrame, Observation, functions as F
+from pyspark.sql import Column, DataFrame, Observation, functions as F
 
 #: reserved metadata column names: every frame between operators is
 #: ``data… + DIFF_COL``; only trace batches carry ``T_COL``, stamped by
@@ -48,7 +56,7 @@ N_SHARDS = 8
 _EST_BYTES_PER_CELL = 16
 
 
-def materialize(df: DataFrame) -> Tuple[DataFrame, int]:
+def materialize(df: DataFrame, *where: Column) -> Tuple[DataFrame, ...]:
     """Materialize a DataFrame into executor memory, truncate its plan, count it.
 
     ``localCheckpoint(eager=True)`` both caches the rows and replaces the
@@ -63,11 +71,16 @@ def materialize(df: DataFrame) -> Tuple[DataFrame, int]:
     ``Observation`` is single-use, hence a fresh one per call) instead of by a
     trailing ``.count()``: in local mode every Spark job costs a fixed
     overhead that, not the row work, sets a round's latency floor.  Returns
-    ``(materialized frame, rows)``.
+    ``(materialized frame, rows)``, followed by the rows that satisfy each
+    condition in ``where``, counted by the same observation.
     """
     obs = Observation()
-    out = df.observe(obs, F.count(F.lit(1)).alias("rows")).localCheckpoint(eager=True)
-    return out, obs.get["rows"]
+    counts = [F.count(F.lit(1)).alias("rows")] + [
+        F.count(F.when(c, 1)).alias(f"where{i}") for i, c in enumerate(where)
+    ]
+    out = df.observe(obs, *counts).localCheckpoint(eager=True)
+    got = obs.get
+    return (out, got["rows"], *(got[f"where{i}"] for i in range(len(where))))
 
 
 def release(df: DataFrame) -> None:
@@ -85,8 +98,8 @@ def consolidate(df: DataFrame, group_cols: Sequence[str], key_cols: Sequence[str
     """Sum ``DIFF_COL`` per ``group_cols`` and drop zero sums, hash-sharded
     by ``key_cols`` (a lazy plan; callers materialize it).
 
-    This is the engine's one consolidation of multiplicities: trace seals
-    and merges, reads and reductions all use it.  Sharding *before*
+    This is the engine's one consolidation of multiplicities: trace seals,
+    reads and reductions all use it.  Sharding *before*
     grouping costs one exchange: hash partitioning on ``key_cols ⊆
     group_cols`` already clusters every group, so Spark adds no second
     exchange — nor does a later aggregation grouped by ``key_cols`` — and
@@ -114,12 +127,18 @@ def union_all(frames: Sequence[DataFrame]) -> Optional[DataFrame]:
     return functools.reduce(DataFrame.unionByName, frames) if frames else None
 
 
+class BatchIntervalsBroken(AssertionError):
+    """A trace's batch intervals are not ordered, disjoint and inside
+    ``[0, upper)``."""
+
+
 @dataclass
 class Batch:
     """One immutable, indexed batch of update triples.
 
     ``df`` is hash-partitioned by the trace's key columns and cached; it is
-    never mutated after construction (merges build *new* batches).
+    never mutated after construction (a fold builds a *new* batch).
+    ``rows`` counts all of its rows, folded ones included.
     """
 
     df: DataFrame
@@ -135,9 +154,9 @@ class Batch:
 class Trace:
     """A shard-partitioned, multiversioned index over update triples.
 
-    One ``Trace`` per arrangement; batches are appended by the arrange
-    operator as the input frontier advances and merged/compacted in the
-    background of each insert.
+    One ``Trace`` per arrangement; batches are sealed by the arrange
+    operator as the input frontier advances, and each seal folds in the
+    batches due for a merge.
     """
 
     def __init__(
@@ -160,6 +179,7 @@ class Trace:
         self.compaction_frontier: int = 0
         #: upper frontier of the trace: all updates at times < upper sealed.
         self.upper: int = 0
+        #: seals that folded older batches in (each one merge)
         self.merge_count: int = 0
 
     # -- writing -----------------------------------------------------------
@@ -172,76 +192,77 @@ class Trace:
         caller seals one round, or, creating a trace at round ``r``, all of
         ``[0, r + 1)`` at ``r``).  ``None`` means the interval is empty (the
         trace still advances its upper frontier, exactly like an empty batch
-        in the paper).  Returns the new batch.
+        in the paper).
+
+        The batches due for a merge (:meth:`_due`) are consolidated together
+        with the stamped updates and the result is materialized once, as the
+        one batch that replaces them.  Folded times map to ``rep_F(t) =
+        max(t, frontier)``; the new rows sit at ``upper - 1``, which in a
+        dataflow is above the frontier (readers trail the newest round), so
+        they never coalesce with folded ones.  Returns the new batch, or
+        None if the stamped updates cancelled out, even when the fold kept
+        a batch.
         """
         if upper <= self.upper:
             raise ValueError(f"trace upper {self.upper} cannot regress to {upper}")
         lower, self.upper = self.upper, upper
         if updates is None:
             return None
-        stamped = updates.select(*self.data_cols, F.lit(upper - 1).alias(T_COL), DIFF_COL)
-        df, rows = self._consolidate(stamped)
-        if rows == 0:
-            return None
-        batch = Batch(df=df, lower=lower, upper=upper, rows=rows)
-        self.batches.append(batch)
-        self._maintain()
-        return batch
-
-    def _maintain(self) -> None:
-        """Size-tiered amortized merging (Fig. 7e's eager/default/lazy knob).
-
-        * ``eager``  — collapse everything into one batch after each insert
-          (least total batches, spiky latency).
-        * ``default``— merge the two newest batches while the newer has at
-          least half the rows of the older; keeps O(log n) batches with
-          bounded per-insert work, like the paper's default.
-        * ``lazy``   — only merge when the trace exceeds 32 batches (fast
-          inserts, slower reads / fatter tails under contention).
-        """
-        if self.merge_effort == "eager":
-            while len(self.batches) > 1:
-                self._merge_last_two()
-        elif self.merge_effort == "default":
-            while (
-                len(self.batches) > 1
-                and self.batches[-1].rows * 2 >= self.batches[-2].rows
-            ):
-                self._merge_last_two()
-        else:  # lazy
-            while len(self.batches) > 32:
-                self._merge_last_two()
-
-    def _merge_last_two(self) -> None:
-        a = self.batches.pop()
-        b = self.batches.pop()
-        lower, upper = min(a.lower, b.lower), max(a.upper, b.upper)
-        merged, rows = self._consolidate(a.df.unionByName(b.df))
-        self.merge_count += 1
+        t = upper - 1
+        frame = updates.select(*self.data_cols, F.lit(t).alias(T_COL), DIFF_COL)
+        kept = len(self.batches) - self._due()
+        due = self.batches[kept:]
+        if due:
+            # rep_F on the folded batches only: on the whole union the
+            # optimizer copies it into every child, stamped rows included
+            f = F.lit(self.compaction_frontier)
+            folded = union_all([b.df for b in due]).withColumn(T_COL, F.greatest(T_COL, f))
+            frame = folded.unionByName(frame)
+            lower = due[0].lower
+        merged = consolidate(frame, self.data_cols + [T_COL], self.key_cols)
+        df, rows, new_rows = materialize(merged, F.col(T_COL) == t)
+        if due:
+            del self.batches[kept:]
+            self.merge_count += 1
         if rows:
-            self.batches.append(Batch(df=merged, lower=lower, upper=upper, rows=rows))
-        else:
-            # Record the (now empty) interval by widening the neighbour's
-            # bookkeeping: an empty batch need not be stored at all.
-            if self.batches:
-                self.batches[-1].upper = max(self.batches[-1].upper, upper)
+            self.batches.append(Batch(df=df, lower=lower, upper=upper, rows=rows))
+        self._check_intervals()
+        return self.batches[-1] if new_rows else None
 
-    def _consolidate(self, df: DataFrame) -> Tuple[DataFrame, int]:
-        """Coalesce updates at times indistinguishable as of the frontier.
+    def _due(self) -> int:
+        """How many of the newest batches the next seal folds in (Fig. 7e).
 
-        For the 1-d integer lattice and single-element frontier ``{f}``,
-        Appendix A's ``rep_F(t) = glb_f lub(t, f)`` is simply ``max(t, f)``;
-        mapping times through it and re-summing diffs is exactly the paper's
-        consolidation step, and cancelled updates (net diff 0) are dropped.
+        * ``eager``  — all of them: the trace is one batch (least batches,
+          every seal re-writes the whole trace).
+        * ``default``— the newest run whose summed rows reach half of the
+          batch before it, grown while they do; keeps O(log n) batches with
+          amortized per-seal work, like the paper's default.
+        * ``lazy``   — only the batches beyond 32 (cheap seals, slower
+          reads).
         """
-        f = self.compaction_frontier
-        adj = df.withColumn(T_COL, F.greatest(F.col(T_COL), F.lit(f)))
-        return materialize(consolidate(adj, self.data_cols + [T_COL], self.key_cols))
+        n = len(self.batches)
+        if self.merge_effort == "eager":
+            return n
+        if self.merge_effort == "lazy":
+            return max(0, n - 32)
+        i, rows = n - 1, self.batches[-1].rows if n else 0
+        while i > 0 and rows * 2 >= self.batches[i - 1].rows:
+            i -= 1
+            rows += self.batches[i].rows
+        return n - i if i < n - 1 else 0
+
+    def _check_intervals(self) -> None:
+        edges = [0, *(e for b in self.batches for e in (b.lower, b.upper)), self.upper]
+        if any(a > b for a, b in zip(edges, edges[1:])):
+            raise BatchIntervalsBroken(
+                f"batch intervals {[(b.lower, b.upper) for b in self.batches]} "
+                f"are not ordered, disjoint and inside [0, {self.upper})"
+            )
 
     def advance_compaction_frontier(self, frontier: int) -> None:
         """Called by the arrangement when *every* reader is beyond ``frontier``.
 
-        Takes effect during subsequent merges; it never rewrites batches in
+        Takes effect in subsequent folds; it never rewrites batches in
         place (they are immutable and possibly shared with readers).
         """
         self.compaction_frontier = max(self.compaction_frontier, frontier)

@@ -12,7 +12,10 @@ from repro.datalog.queries import build_indexes, sg_from
 from repro.graphs.gen import tree_graph
 
 #: most Spark jobs any of the three rounds below may start.  Measured at
-#: 11/21/19 jobs per round with the reduce consolidating its changed keys
+#: 7/9/9 jobs per round with adaptive query execution off (a shuffle stage
+#: is no longer a job of its own) and due merges folded into each seal (one
+#: materialization per arrangement per round).  It was 11/21/19 with the
+#: reduce consolidating its changed keys
 #: once, sharded by its key, and leaving its output's consolidation to the
 #: output arrangement's seal.  It was 13/23/21 with a second consolidation
 #: helper, a ``groupBy`` over the corrections and a ``distinct`` on the
@@ -20,7 +23,7 @@ from repro.graphs.gen import tree_graph
 #: arrangement every round; and 45/66/61 before the single-exchange
 #: consolidation and observed row counts (groupBy then repartition, a
 #: ``.count()`` after every checkpoint).
-MAX_JOBS_PER_STEP = 21
+MAX_JOBS_PER_STEP = 9
 
 
 def test_jobs_per_step_within_budget(spark, spark_jobs):
@@ -43,6 +46,33 @@ def test_jobs_per_step_within_budget(spark, spark_jobs):
         jobs.append(spark_jobs(flow.step)[1])
     assert sorted(q.result()["k"]) == [1, 2, 3, 4]
     assert max(jobs) <= MAX_JOBS_PER_STEP, f"Spark jobs per step {jobs}"
+
+
+def test_steady_churn_costs_the_same_every_step(spark, spark_jobs):
+    """Each arrangement materializes once a round, merges folded in, so a
+    round's job count does not depend on which merges fall due."""
+    flow = Dataflow(spark, shared=True)
+    flow.input("a", ["k", "v"])
+    flow.input("b", ["k", "w"])
+
+    def build(ctx):
+        a = ctx.arranged("a", ["k"])
+        b = ctx.arranged("b", ["k"]).rename({"k": "k2"})
+        return ctx.distinct(ctx.join(a, b, (["k"], ["k2"]), select=["k", "v", "w"]), ["k"])
+
+    q = flow.install("q", build)
+    flow.feed("a", pd.DataFrame({"k": range(10), "v": range(10)}))
+    flow.feed("b", pd.DataFrame({"k": range(10), "w": range(10)}))
+    flow.step()
+    jobs = []
+    for r in range(10):
+        flow.feed("a", pd.DataFrame({"k": [r + 10], "v": [r + 10]}))
+        flow.feed("a", pd.DataFrame({"k": [r], "v": [r]}), diff=-1)
+        flow.feed("b", pd.DataFrame({"k": [r + 10], "w": [r + 10]}))
+        flow.feed("b", pd.DataFrame({"k": [r], "w": [r]}), diff=-1)
+        jobs.append(spark_jobs(flow.step)[1])
+    assert sorted(q.result()["k"]) == list(range(10, 20))
+    assert len(set(jobs)) == 1, f"Spark jobs per step {jobs}"
 
 
 #: most Spark jobs installing ``a[k] ⋈ b[k]`` mid-stream over two shared
@@ -79,10 +109,12 @@ def test_install_join_jobs_within_budget(spark, spark_jobs):
 
 #: most Spark jobs ``sg_from`` (two IDB relations, ``sg`` and ``sg_t1``,
 #: after a ``tc_to`` for its magic set) may start on a depth-4 binary tree.
-#: Measured at 40 jobs with the one fixpoint loop, which fires EDB-only
-#: rules once and only recursive rules per step; the previous evaluator,
-#: with its own loop and an ``initial`` flag, started 44.
-MAX_JOBS_SG_FROM = 40
+#: Measured at 15 jobs with adaptive query execution off, which ran each
+#: shuffle stage as a job of its own; 40 with it on and the one fixpoint
+#: loop, which fires EDB-only rules once and only recursive rules per step;
+#: the previous evaluator, with its own loop and an ``initial`` flag,
+#: started 44.
+MAX_JOBS_SG_FROM = 15
 
 
 def test_sg_from_jobs_within_budget(spark, spark_jobs):

@@ -3,7 +3,9 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.trace import DIFF_COL, N_SHARDS, T_COL, Trace
+from repro.core import trace as trace_module
+from repro.core.arrange import Arrangement
+from repro.core.trace import DIFF_COL, N_SHARDS, T_COL, BatchIntervalsBroken, Trace
 
 
 def updates(spark, rows):
@@ -93,6 +95,52 @@ class TestMerging:
     def test_bad_key_rejected(self):
         with pytest.raises(ValueError):
             Trace(["k"], ["nope"])
+
+
+class TestFold:
+    """A seal folds the batches due for a merge into its one materialization."""
+
+    def test_fold_seals_once_and_keeps_the_round_delta(self, spark, monkeypatch):
+        calls = []
+        plain = trace_module.materialize
+
+        def counted(*args):
+            calls.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(trace_module, "materialize", counted)
+        arr = Arrangement("a", ["k"], ["k"], merge_effort="eager")
+        arr.ingest(1, updates(spark, [(1, 1), (2, 1)]))
+        arr.ingest(2, updates(spark, [(3, 1)]))
+        # round 3 folds the batch that inserted 1 and retracts it
+        delta = arr.ingest(3, updates(spark, [(1, -1)]))
+        assert read_dict(delta) == {1: -1}
+        assert read_dict(arr.trace.read_at(3)) == {2: 1, 3: 1}
+        assert len(arr.trace.batches) == 1 and arr.trace.merge_count == 2
+        assert len(calls) == 3
+        # updates that cancel give no delta, though the fold keeps a batch
+        assert arr.ingest(4, updates(spark, [(5, 1), (5, -1)])) is None
+        assert arr.delta(4) is None
+        assert [(b.lower, b.upper, b.rows) for b in arr.trace.batches] == [(0, 5, 4)]
+        assert read_dict(arr.trace.read_at(4)) == {2: 1, 3: 1}
+        assert len(calls) == 4
+
+    def test_default_folds_one_seal_later(self, spark):
+        tr = Trace(["k"], ["k"], merge_effort="default")
+        tr.seal(updates(spark, [(1, 1)]), upper=2)
+        tr.seal(updates(spark, [(2, 1)]), upper=3)
+        # two equal batches are due, and fold into the next seal
+        assert [b.rows for b in tr.batches] == [1, 1] and tr.merge_count == 0
+        batch = tr.seal(updates(spark, [(3, 1)]), upper=4)
+        assert [(b.lower, b.upper, b.rows) for b in tr.batches] == [(0, 4, 3)]
+        assert batch is tr.batches[0] and tr.merge_count == 1
+
+    def test_broken_intervals_raise(self, spark):
+        tr = Trace(["k"], ["k"], merge_effort="lazy")
+        tr.seal(updates(spark, [(1, 1)]), upper=2)
+        tr.batches[0].upper = 5  # now overlaps the next seal's [2, 3)
+        with pytest.raises(BatchIntervalsBroken):
+            tr.seal(updates(spark, [(2, 1)]), upper=3)
 
 
 class TestCompaction:
